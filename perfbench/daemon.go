@@ -23,16 +23,17 @@ import (
 	"degentri/triangle"
 )
 
-// Daemon load shape. About a fifth of web-Stanford requests cost 3–5× the
-// median, some 6% of all requests. At 8 req/s a 25 s run holds 200 requests
-// and its tail, the 11th-largest latency, fell on the edge of that group,
-// jumping between ~110 and ~200 ms from run to run. At 4 req/s the tail is
-// p90, inside the regular requests, and requests still overlap and fuse;
-// one client's closed-loop capacity on 2 cores is ~17 req/s.
+// Daemon load shape. The rate is about half of one client's closed-loop
+// capacity on 2 cores (~17 req/s), so requests overlap and fuse but no
+// backlog builds. A request's CPU cost depends on its seed, and the seed set
+// changes with the workload seed, so cpu_ms_per_answer steadies with the
+// number of distinct (graph, seed) pairs in a run: at 4 req/s and 16 seeds
+// its spread over ten workload seeds was 0.09, while one workload seed
+// repeated moved it by 3%. Each pair still repeats about twice per run.
 const (
-	daemonRate   = 4.0 // requests per second, open loop
+	daemonRate   = 8.0 // requests per second, open loop
 	daemonConns  = 2
-	daemonSeeds  = 16      // distinct estimator seeds per run; each (graph, seed) repeats ~2 times
+	daemonSeeds  = 32      // distinct estimator seeds per run; each (graph, seed) repeats ~2 times
 	daemonBudget = 1 << 22 // the daemon's default per-request space budget, words
 )
 
@@ -272,7 +273,7 @@ func runDaemonFused(cfg runConfig, rep *report) error {
 			}
 		}
 		return ds, nil
-	}, func(ds *daemonSetup) { ds.d.stop() })
+	}, func(ds *daemonSetup) (time.Duration, error) { return procCPU(ds.d.cmd.Process.Pid) }, func(ds *daemonSetup) { ds.d.stop() })
 	if err != nil {
 		return err
 	}
@@ -308,6 +309,10 @@ func runDaemonFused(cfg runConfig, rep *report) error {
 	if err != nil {
 		return err
 	}
+	cpuBefore, err := procCPU(pid)
+	if err != nil {
+		return err
+	}
 	loop := openLoop{start: time.Now().Add(50 * time.Millisecond), rate: daemonRate}
 	end := loop.start.Add(time.Duration(cfg.seconds * float64(time.Second)))
 	var reqs []*request
@@ -325,6 +330,10 @@ func runDaemonFused(cfg runConfig, rep *report) error {
 		}()
 	}
 	wg.Wait()
+	cpuAfter, err := procCPU(pid)
+	if err != nil {
+		return err
+	}
 	after, err := scrape(client, ds.d.base)
 	if err != nil {
 		return err
@@ -388,16 +397,17 @@ func runDaemonFused(cfg runConfig, rep *report) error {
 	scans, carried := delta("triangled_graph_scans_total"), delta("triangled_graph_carried_total")
 	answered := float64(len(latency))
 
-	rep.set("answer_ms.p50", median(latency))
-	rep.setTail("answer_ms.tail", latency)
-	// Below saturation this is the offered rate; a daemon that falls
-	// behind finishes its last answer late and reads lower.
-	rep.set("answers_per_s", answered/lastDone.Sub(loop.start).Seconds())
+	rep.set("cpu_ms_per_answer", ms(cpuAfter-cpuBefore)/answered)
 	rep.set("ok_frac", 1-rep.tally.failFrac())
 	rep.set("scans_per_answer", scans/answered)
 	rep.set("space_words.p50", median(space))
 	rep.set("process.peak_rss_mb", median(rss))
 	if cfg.trace {
+		rep.set("answer_ms.p50", median(latency))
+		rep.setTail("answer_ms.tail", latency)
+		// Below saturation this is the offered rate; a daemon that falls
+		// behind finishes its last answer late and reads lower.
+		rep.set("answers_per_s", answered/lastDone.Sub(loop.start).Seconds())
 		hits, misses := delta("triangled_decode_cache_hits_total"), delta("triangled_decode_cache_misses_total")
 		if hits+misses > 0 {
 			rep.set("stream.decode_cache.hit_ratio", hits/(hits+misses))

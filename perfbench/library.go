@@ -154,17 +154,19 @@ func writeShuffledText(path string, edges []graph.Edge, seed uint64) error {
 	return f.Close()
 }
 
-// answer is one timed default EstimateFile call.
+// answer is one timed default EstimateFile call: its wall time and the CPU
+// time the process spent on it.
 type answer struct {
 	res triangle.Result
 	err error
 	dur time.Duration
+	cpu time.Duration
 }
 
 func estimate(path string, opts triangle.Options) answer {
-	start := time.Now()
+	start, cpu := time.Now(), selfCPU()
 	res, err := triangle.EstimateFile(path, opts)
-	return answer{res: res, err: err, dur: time.Since(start)}
+	return answer{res: res, err: err, dur: time.Since(start), cpu: selfCPU() - cpu}
 }
 
 // check classifies an answer and records any failed correctness check.
@@ -193,8 +195,10 @@ func (a answer) check(rep *report, backend string) outcome {
 }
 
 // setupRepeated runs the set-up setupRepeats times, each in a fresh
-// directory, reports the median as setup_s and keeps the last result.
-func setupRepeated[T any](cfg runConfig, rep *report, setup func(dir string) (T, error), discard func(T)) (T, error) {
+// directory, reports the median CPU time of one as setup_s and keeps the
+// last result. A set-up's CPU time is this process's, plus what childCPU
+// reports for processes the set-up started (nil when it starts none).
+func setupRepeated[T any](cfg runConfig, rep *report, setup func(dir string) (T, error), childCPU func(T) (time.Duration, error), discard func(T)) (T, error) {
 	var kept T
 	var times []float64
 	for k := 0; k < setupRepeats; k++ {
@@ -202,12 +206,20 @@ func setupRepeated[T any](cfg runConfig, rep *report, setup func(dir string) (T,
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return kept, err
 		}
-		start := time.Now()
+		start := selfCPU()
 		got, err := setup(dir)
 		if err != nil {
 			return kept, err
 		}
-		times = append(times, time.Since(start).Seconds())
+		cpu := selfCPU() - start
+		if childCPU != nil {
+			child, err := childCPU(got)
+			if err != nil {
+				return kept, err
+			}
+			cpu += child
+		}
+		times = append(times, cpu.Seconds())
 		if k < setupRepeats-1 {
 			if discard != nil {
 				discard(got)
@@ -241,7 +253,7 @@ func runLibrary(cfg runConfig, rep *report, prepare func(dir string) (*libInput,
 			return nil, fmt.Errorf("warm-up answer failed (outcome %d): %v", o, warm.err)
 		}
 		return in, nil
-	}, nil)
+	}, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -253,7 +265,7 @@ func runLibrary(cfg runConfig, rep *report, prepare func(dir string) (*libInput,
 		return traceLibrary(cfg, rep, in)
 	}
 
-	var times, scans, space []float64
+	var cpu, scans, space []float64
 	deadline := time.Now().Add(time.Duration(cfg.seconds * float64(time.Second)))
 	var last answer
 	var lastPath string
@@ -270,11 +282,11 @@ func runLibrary(cfg runConfig, rep *report, prepare func(dir string) (*libInput,
 			continue
 		}
 		last, lastPath, lastIndex = a, path, i
-		times = append(times, ms(a.dur))
+		cpu = append(cpu, ms(a.cpu))
 		scans = append(scans, float64(a.res.Scans))
 		space = append(space, float64(a.res.SpaceWords))
 	}
-	if len(times) == 0 {
+	if len(cpu) == 0 {
 		return fmt.Errorf("no answer completed")
 	}
 
@@ -296,9 +308,7 @@ func runLibrary(cfg runConfig, rep *report, prepare func(dir string) (*libInput,
 		}
 	}
 
-	rep.set("answer_ms.p50", median(times))
-	rep.setTail("answer_ms.tail", times)
-	rep.set("answers_per_s", 1e3/mean(times))
+	rep.set("cpu_ms_per_answer", mean(cpu))
 	rep.set("ok_frac", 1-rep.tally.failFrac())
 	rep.set("scans_per_answer", mean(scans))
 	rep.set("space_words.p50", median(space))
@@ -406,6 +416,9 @@ func traceLibrary(cfg runConfig, rep *report, in *libInput) error {
 		return fmt.Errorf("no traced answer completed")
 	}
 	untraced, traced := median(samples["untraced"]), median(samples["traced"])
+	rep.set("answer_ms.p50", untraced)
+	rep.setTail("answer_ms.tail", samples["untraced"])
+	rep.set("answers_per_s", 1e3/mean(samples["untraced"]))
 	delete(samples, "untraced")
 	delete(samples, "traced")
 	for name, xs := range samples {
