@@ -4,9 +4,8 @@
 // block-indexed compressed binary format (.bex v2), which parses an order of
 // magnitude faster than text and supports sharded parallel passes natively;
 // .bexd outputs become sharded multi-file directories. -format overrides the
-// extension-based choice (bex1 selects the legacy flat int32-pair format),
-// and -convert translates an existing file or directory between any of the
-// formats.
+// extension-based choice, and -convert translates an existing file or
+// directory between any of the formats.
 //
 // Usage:
 //
@@ -16,7 +15,6 @@
 //	graphgen -family book -pages 10000 -out book.txt
 //	graphgen -convert ba.txt -out ba.bex
 //	graphgen -convert ba.bex -format bexd -out ba.bexd
-//	graphgen -convert old.bex -format bex1 -out legacy.bex
 //
 // Exit codes: 0 success; 1 internal error; 2 usage error; 3 I/O error
 // (missing, unreadable, truncated, or corrupt input, or an unwritable
@@ -48,7 +46,7 @@ func main() {
 		m          = flag.Int("m", 0, "edge count for gnm (default 4n)")
 		seed       = flag.Uint64("seed", 1, "random seed")
 		out        = flag.String("out", "", "output path (default stdout); .bex selects the binary format, .bexd the sharded directory layout")
-		format     = flag.String("format", "auto", "output format: auto (by extension), text, bex1, bex2, bexd")
+		format     = flag.String("format", "auto", "output format: auto (by extension), text, bex2, bexd")
 		blockEdges = flag.Int("block-edges", 0, "edges per .bex v2 block (default 8192)")
 		convert    = flag.String("convert", "", "convert this edge file (text, .bex, or .bexd) to -out instead of generating")
 		version    = flag.Bool("version", false, "print version and exit")
@@ -155,8 +153,6 @@ func writeOut(out string, s stream.Stream, format string, blockEdges int) (int, 
 			err = cerr
 		}
 		return edges, err
-	case "bex1":
-		return stream.WriteBexFile(out, s)
 	case "bex2":
 		return stream.WriteBex2File(out, s, blockEdges)
 	case "bexd":

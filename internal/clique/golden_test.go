@@ -98,9 +98,9 @@ func TestEstimateGolden(t *testing.T) {
 // TestEstimateGoldenFileBackends re-runs the golden pins over the disk-backed
 // stream sources, with the files written in the exact shuffled order the
 // in-memory goldens use: the text stream spends one extra counting pass
-// (length unknown up front), the binary streams (flat .bex v1, block-indexed
-// .bex v2 buffered and mmap, sharded .bexd) none, and everything else must
-// match the goldens bit for bit.
+// (length unknown up front), the binary streams (block-indexed .bex v2,
+// sharded .bexd) none, and everything else must match the goldens bit for
+// bit.
 func TestEstimateGoldenFileBackends(t *testing.T) {
 	graphs := cliqueGoldenGraphs()
 	dir := t.TempDir()
@@ -108,20 +108,16 @@ func TestEstimateGoldenFileBackends(t *testing.T) {
 	type fileBackend struct {
 		name  string
 		path  string
-		mmap  bool
 		extra int
 	}
 	written := map[string]bool{}
 	writeBackends := func(gc cliqueGolden) []fileBackend {
 		base := filepath.Join(dir, gc.workload)
-		txt, bex1 := base+".txt", base+".v1"+stream.BexExt
-		bex2, bexd := base+stream.BexExt, base+stream.BexdExt
+		txt, bex2, bexd := base+".txt", base+stream.BexExt, base+stream.BexdExt
 		fbs := []fileBackend{
-			{"text", txt, false, 1},
-			{"bex1", bex1, false, 0},
-			{"bex2", bex2, false, 0},
-			{"bex2-mmap", bex2, true, 0},
-			{"bexd", bexd, false, 0},
+			{"text", txt, 1},
+			{"bex2", bex2, 0},
+			{"bexd", bexd, 0},
 		}
 		if written[gc.workload] {
 			return fbs
@@ -135,9 +131,6 @@ func TestEstimateGoldenFileBackends(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := stream.WriteBexFile(bex1, stream.FromGraphShuffled(g, gc.streamSeed)); err != nil {
 			t.Fatal(err)
 		}
 		// Tiny blocks/parts so the goldens exercise multi-block and
@@ -157,7 +150,7 @@ func TestEstimateGoldenFileBackends(t *testing.T) {
 		// written for the first case serve the rest.
 		for _, workers := range []int{1, 2, 4, 8} {
 			for _, backend := range writeBackends(gc) {
-				src, err := stream.OpenAutoPrefer(backend.path, backend.mmap)
+				src, err := stream.OpenAuto(backend.path)
 				if err != nil {
 					t.Fatal(err)
 				}

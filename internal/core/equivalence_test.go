@@ -3,11 +3,10 @@ package core_test
 // Refactor-equivalence pins for the shared pass framework (internal/passes):
 // the golden cases of golden_test.go — whose expected values predate the
 // framework — must hold bit for bit at every worker count (1/2/4/8) and over
-// every stream backend (in-memory, text file, flat .bex v1, block-indexed
-// .bex v2 buffered and mmap, sharded .bexd). Combined with the clique golden
-// suite this is the guarantee that moving the pass plumbing into
-// internal/passes changed no realized randomness anywhere — and that no
-// storage format does either.
+// every stream backend (in-memory, text file, block-indexed .bex v2,
+// sharded .bexd). Combined with the clique golden suite this is the
+// guarantee that moving the pass plumbing into internal/passes changed no
+// realized randomness anywhere — and that no storage format does either.
 
 import (
 	"os"
@@ -33,7 +32,6 @@ func TestGoldenEquivalenceAcrossWorkersAndBackends(t *testing.T) {
 	backends := map[string][]backend{}
 	for name, w := range graphs {
 		txt := filepath.Join(dir, name+".txt")
-		bex1 := filepath.Join(dir, name+".v1"+stream.BexExt)
 		bex2 := filepath.Join(dir, name+stream.BexExt)
 		bexd := filepath.Join(dir, name+stream.BexdExt)
 		f, err := os.Create(txt)
@@ -46,9 +44,6 @@ func TestGoldenEquivalenceAcrossWorkersAndBackends(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := stream.WriteBexFile(bex1, stream.FromGraphShuffled(w.g, w.streamSeed)); err != nil {
-			t.Fatal(err)
-		}
 		// Tiny blocks and parts so even these small goldens span several
 		// blocks and .bexd parts (the interesting decode/chain paths).
 		if _, err := stream.WriteBex2File(bex2, stream.FromGraphShuffled(w.g, w.streamSeed), 16); err != nil {
@@ -58,9 +53,9 @@ func TestGoldenEquivalenceAcrossWorkersAndBackends(t *testing.T) {
 			t.Fatal(err)
 		}
 		g, seed := w.g, w.streamSeed
-		openPrefer := func(path string, mmap bool) func(bool) (stream.Stream, func(), error) {
+		openFile := func(path string) func(bool) (stream.Stream, func(), error) {
 			return func(cache bool) (stream.Stream, func(), error) {
-				src, err := stream.OpenAutoOpts(path, stream.OpenOptions{PreferMmap: mmap, DecodeCache: cache})
+				src, err := stream.OpenAutoOpts(path, stream.OpenOptions{DecodeCache: cache})
 				if err != nil {
 					return nil, nil, err
 				}
@@ -71,11 +66,9 @@ func TestGoldenEquivalenceAcrossWorkersAndBackends(t *testing.T) {
 			{"memory", func(bool) (stream.Stream, func(), error) {
 				return stream.FromGraphShuffled(g, seed), func() {}, nil
 			}, 0, false},
-			{"text", openPrefer(txt, false), 1, false},
-			{"bex1", openPrefer(bex1, false), 0, false},
-			{"bex2", openPrefer(bex2, false), 0, true},
-			{"bex2-mmap", openPrefer(bex2, true), 0, true},
-			{"bexd", openPrefer(bexd, false), 0, true},
+			{"text", openFile(txt), 1, false},
+			{"bex2", openFile(bex2), 0, true},
+			{"bexd", openFile(bexd), 0, true},
 		}
 	}
 

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -94,7 +93,7 @@ func BenchSweep(opts BenchOptions) (*benchfmt.File, *Table, error) {
 	table := NewTable("bench",
 		fmt.Sprintf("Corpus sweep (%d trials per ε, %s scans, workers=1)", trials, mode),
 		"graph", "source", "n", "m", "T", "κ", "κ̂",
-		"err ε=.20", "err ε=.10", "err ε=.05", "passes", "scans", "space (w)", "edges/s", "bytes v2/v1")
+		"err ε=.20", "err ε=.10", "err ε=.05", "passes", "scans", "space (w)", "edges/s")
 
 	for _, spec := range specs {
 		sweepStart := time.Now()
@@ -159,7 +158,7 @@ func BenchSweep(opts BenchOptions) (*benchfmt.File, *Table, error) {
 				table.AddRow(w.Name, w.Source, FormatCount(int64(w.N)), FormatCount(int64(w.M)),
 					FormatCount(w.T), fmt.Sprint(w.Kappa), fmt.Sprint(kres.Kappa),
 					"", "", "", // err cells filled below
-					fmt.Sprint(stats.Passes), fmt.Sprint(scans), FormatFloat(stats.MeanSpace), "", "")
+					fmt.Sprint(stats.Passes), fmt.Sprint(scans), FormatFloat(stats.MeanSpace), "")
 			}
 		}
 
@@ -172,80 +171,26 @@ func BenchSweep(opts BenchOptions) (*benchfmt.File, *Table, error) {
 			Better: benchfmt.BetterExact, Class: benchfmt.ClassDeterministic,
 		}
 
-		// Raw scan throughput over the cached .bex (timing: warn-only).
-		throughput, err := benchEdgesPerSecond(w)
-		if err != nil {
-			return nil, nil, err
-		}
-		bw.Metrics["edges_per_s.bex"] = benchfmt.Metric{
-			Value: throughput, Unit: "edges/s",
-			Better: benchfmt.BetterHigher, Class: benchfmt.ClassTiming, RelTol: 0.60,
-		}
-
-		// Backend comparison: bytes on disk v1 vs v2 (deterministic encodings
-		// of the same canonical stream) and per-format scan throughput
-		// (timing: warn-only). v2 must be strictly smaller than v1 on every
-		// corpus graph — that is an acceptance invariant, not a tolerance.
+		// Storage: bytes on disk of the cached .bex v2 (deterministic, gated)
+		// and its cold-open scan throughput (timing: warn-only). v2 must stay
+		// strictly smaller than a flat encoding of the same stream (a 16-byte
+		// header plus 8 bytes per edge) on every corpus graph — that is an
+		// acceptance invariant, not a tolerance.
 		bk, err := benchBackends(w)
 		if err != nil {
 			return nil, nil, err
 		}
-		if bk.Bytes2 >= bk.Bytes1 {
-			return nil, nil, fmt.Errorf("exp: bench %s: .bex v2 is %d bytes, v1 is %d — v2 must be strictly smaller",
-				w.Name, bk.Bytes2, bk.Bytes1)
-		}
-		bw.Metrics["bytes_on_disk.bex1"] = benchfmt.Metric{
-			Value: float64(bk.Bytes1), Unit: "bytes",
-			Better: benchfmt.BetterLower, Class: benchfmt.ClassDeterministic,
+		if flat := int64(16 + 8*w.M); bk.Bytes2 >= flat {
+			return nil, nil, fmt.Errorf("exp: bench %s: .bex v2 is %d bytes, a flat encoding %d — v2 must be strictly smaller",
+				w.Name, bk.Bytes2, flat)
 		}
 		bw.Metrics["bytes_on_disk.bex2"] = benchfmt.Metric{
 			Value: float64(bk.Bytes2), Unit: "bytes",
 			Better: benchfmt.BetterLower, Class: benchfmt.ClassDeterministic,
 			RelTol: 0.10, // block-size retunes move the footer overhead a little
 		}
-		bw.Metrics["edges_per_s.bex1"] = benchfmt.Metric{
-			Value: bk.EdgesPerS1, Unit: "edges/s",
-			Better: benchfmt.BetterHigher, Class: benchfmt.ClassTiming, RelTol: 0.60,
-		}
 		bw.Metrics["edges_per_s.bex2"] = benchfmt.Metric{
 			Value: bk.EdgesPerS2, Unit: "edges/s",
-			Better: benchfmt.BetterHigher, Class: benchfmt.ClassTiming, RelTol: 0.60,
-		}
-		bw.Metrics["edges_per_s.bex2_mmap"] = benchfmt.Metric{
-			Value: bk.EdgesPerSMmap, Unit: "edges/s",
-			Better: benchfmt.BetterHigher, Class: benchfmt.ClassTiming, RelTol: 0.60,
-		}
-		best2 := bk.EdgesPerS2
-		if bk.EdgesPerSMmap > best2 {
-			best2 = bk.EdgesPerSMmap
-		}
-		bw.Metrics["speedup.bex2_vs_bex1"] = benchfmt.Metric{
-			Value: best2 / bk.EdgesPerS1, Unit: "x",
-			Better: benchfmt.BetterHigher, Class: benchfmt.ClassTiming, RelTol: 0.60,
-		}
-
-		// Hot re-scan throughput (PR 10): same open stream, warm decoded-block
-		// cache for v2, median of nine re-scans. The hot speedup is the decode
-		// engine's headline number — the tentpole goal is ratio >= 1 (v2 at
-		// least at v1 parity once re-scans skip the decode). Warn-only.
-		bw.Metrics["edges_per_s.hot.bex1"] = benchfmt.Metric{
-			Value: bk.HotEdgesPerS1, Unit: "edges/s",
-			Better: benchfmt.BetterHigher, Class: benchfmt.ClassTiming, RelTol: 0.60,
-		}
-		bw.Metrics["edges_per_s.hot.bex2"] = benchfmt.Metric{
-			Value: bk.HotEdgesPerS2, Unit: "edges/s",
-			Better: benchfmt.BetterHigher, Class: benchfmt.ClassTiming, RelTol: 0.60,
-		}
-		bw.Metrics["edges_per_s.hot.bex2_mmap"] = benchfmt.Metric{
-			Value: bk.HotEdgesPerSMmap, Unit: "edges/s",
-			Better: benchfmt.BetterHigher, Class: benchfmt.ClassTiming, RelTol: 0.60,
-		}
-		hot2 := bk.HotEdgesPerS2
-		if bk.HotEdgesPerSMmap > hot2 {
-			hot2 = bk.HotEdgesPerSMmap
-		}
-		bw.Metrics["speedup.hot.bex2_vs_bex1"] = benchfmt.Metric{
-			Value: hot2 / bk.HotEdgesPerS1, Unit: "x",
 			Better: benchfmt.BetterHigher, Class: benchfmt.ClassTiming, RelTol: 0.60,
 		}
 		bw.Metrics["wall_ms.sweep"] = benchfmt.Metric{
@@ -256,8 +201,7 @@ func BenchSweep(opts BenchOptions) (*benchfmt.File, *Table, error) {
 		// Patch the error cells and throughput into the row added above.
 		row := table.Rows[len(table.Rows)-1]
 		row[7], row[8], row[9] = errCells[0], errCells[1], errCells[2]
-		row[13] = FormatCount(int64(throughput))
-		row[14] = fmt.Sprintf("%.2f", float64(bk.Bytes2)/float64(bk.Bytes1))
+		row[13] = FormatCount(int64(bk.EdgesPerS2))
 
 		file.Workloads = append(file.Workloads, bw)
 	}
@@ -382,151 +326,46 @@ func benchInvariance(w Workload) error {
 	return nil
 }
 
-// BackendBench is the per-graph storage-backend comparison: encoded sizes of
-// the same canonical stream in the v1 and v2 formats (deterministic) and raw
-// scan throughput per format (timing).
+// BackendBench is the per-graph storage record: the encoded size of the
+// cached .bex v2 file (deterministic) and its raw scan throughput (timing).
 type BackendBench struct {
-	Bytes1, Bytes2                        int64
-	EdgesPerS1, EdgesPerS2, EdgesPerSMmap float64
-	// Hot re-scan throughput (PR 10): the same open stream re-scanned after
-	// a warm-up pass, so v2 serves from the decoded-block cache and v1 from
-	// the page cache — the estimator's 2nd..Nth logical pass economy.
-	HotEdgesPerS1, HotEdgesPerS2, HotEdgesPerSMmap float64
+	Bytes2     int64
+	EdgesPerS2 float64
 }
 
-// benchBackends re-encodes the workload's cached .bex v2 file as legacy v1 in
-// a scratch directory, then times a cold-open full scan per backend — v1, v2
-// buffered, and v2 mmap — and keeps the median of nine rounds. Every round
-// opens the file fresh, so each one pays the backend's true first-scan cost
-// (v2 re-verifies block CRCs, v1 re-reads its 2.5x bigger byte stream); the
-// rounds run back to back per backend, the way a real scan runs one decode
-// kernel continuously, and the median damps the scheduling noise a
-// sub-millisecond sample picks up on a shared core. The cached file itself
-// is the v2 side, so the sizes compare identical canonical edge sequences.
+// benchBackends stats the workload's cached .bex v2 file and times a
+// cold-open full scan of it, keeping the median of nine rounds. Every round
+// opens the file fresh, so each one pays the reader's true first-scan cost
+// (block CRCs are re-verified); the median damps the scheduling noise a
+// sub-millisecond sample picks up on a shared core.
 func benchBackends(w Workload) (BackendBench, error) {
 	var bk BackendBench
-	src, err := stream.OpenAuto(w.Path)
+	st, err := os.Stat(w.Path)
 	if err != nil {
 		return bk, fmt.Errorf("exp: bench %s: %w", w.Name, err)
 	}
-	tmp, err := os.MkdirTemp("", "benchbex")
-	if err != nil {
-		src.Close()
-		return bk, fmt.Errorf("exp: bench %s: %w", w.Name, err)
-	}
-	defer os.RemoveAll(tmp)
-	v1Path := filepath.Join(tmp, "graph.v1.bex")
-	_, err = stream.WriteBexFile(v1Path, src)
-	src.Close()
-	if err != nil {
-		return bk, fmt.Errorf("exp: bench %s: encode v1: %w", w.Name, err)
-	}
-	st1, err := os.Stat(v1Path)
-	if err != nil {
-		return bk, fmt.Errorf("exp: bench %s: %w", w.Name, err)
-	}
-	st2, err := os.Stat(w.Path)
-	if err != nil {
-		return bk, fmt.Errorf("exp: bench %s: %w", w.Name, err)
-	}
-	bk.Bytes1, bk.Bytes2 = st1.Size(), st2.Size()
+	bk.Bytes2 = st.Size()
 
-	time1 := func(open func() (stream.FileBacked, error)) (float64, error) {
-		const rounds = 9
-		rates := make([]float64, 0, rounds)
-		for r := 0; r < rounds; r++ {
-			s, err := open()
-			if err != nil {
-				return 0, fmt.Errorf("exp: bench %s: %w", w.Name, err)
-			}
-			start := time.Now()
-			m, err := stream.CountEdges(s)
-			elapsed := time.Since(start).Seconds()
-			s.Close()
-			if err != nil {
-				return 0, fmt.Errorf("exp: bench %s: %w", w.Name, err)
-			}
-			if elapsed <= 0 {
-				elapsed = 1e-9
-			}
-			rates = append(rates, float64(m)/elapsed)
-		}
-		sort.Float64s(rates)
-		return rates[rounds/2], nil
-	}
-	if bk.EdgesPerS1, err = time1(func() (stream.FileBacked, error) { return stream.OpenBex(v1Path) }); err != nil {
-		return bk, err
-	}
-	if bk.EdgesPerS2, err = time1(func() (stream.FileBacked, error) { return stream.OpenBex2(w.Path) }); err != nil {
-		return bk, err
-	}
-	if bk.EdgesPerSMmap, err = time1(func() (stream.FileBacked, error) { return stream.OpenBexMap(w.Path) }); err != nil {
-		return bk, err
-	}
-
-	// Hot re-scan: one open stream, one warm-up pass, then the median of nine
-	// timed re-scans. This is the pass the estimator actually repeats O(log n)
-	// times: v2 streams run with the decoded-block cache so warm blocks skip
-	// the varint decode entirely, v1 re-reads its flat bytes from the page
-	// cache. The tentpole goal — v2 hot re-scan at least at v1 parity — is
-	// recorded as a warn-only timing metric, like every other throughput.
-	timeHot := func(open func() (stream.FileBacked, error)) (float64, error) {
-		s, err := open()
+	const rounds = 9
+	rates := make([]float64, 0, rounds)
+	for r := 0; r < rounds; r++ {
+		s, err := stream.OpenBex2(w.Path)
 		if err != nil {
-			return 0, fmt.Errorf("exp: bench %s: %w", w.Name, err)
+			return bk, fmt.Errorf("exp: bench %s: %w", w.Name, err)
 		}
-		defer s.Close()
-		if _, err := stream.CountEdges(s); err != nil { // warm-up pass
-			return 0, fmt.Errorf("exp: bench %s: %w", w.Name, err)
+		start := time.Now()
+		m, err := stream.CountEdges(s)
+		elapsed := time.Since(start).Seconds()
+		s.Close()
+		if err != nil {
+			return bk, fmt.Errorf("exp: bench %s: %w", w.Name, err)
 		}
-		const rounds = 9
-		rates := make([]float64, 0, rounds)
-		for r := 0; r < rounds; r++ {
-			start := time.Now()
-			m, err := stream.CountEdges(s)
-			elapsed := time.Since(start).Seconds()
-			if err != nil {
-				return 0, fmt.Errorf("exp: bench %s: %w", w.Name, err)
-			}
-			if elapsed <= 0 {
-				elapsed = 1e-9
-			}
-			rates = append(rates, float64(m)/elapsed)
+		if elapsed <= 0 {
+			elapsed = 1e-9
 		}
-		sort.Float64s(rates)
-		return rates[rounds/2], nil
+		rates = append(rates, float64(m)/elapsed)
 	}
-	if bk.HotEdgesPerS1, err = timeHot(func() (stream.FileBacked, error) { return stream.OpenBex(v1Path) }); err != nil {
-		return bk, err
-	}
-	if bk.HotEdgesPerS2, err = timeHot(func() (stream.FileBacked, error) {
-		return stream.OpenAutoOpts(w.Path, stream.OpenOptions{DecodeCache: true})
-	}); err != nil {
-		return bk, err
-	}
-	if bk.HotEdgesPerSMmap, err = timeHot(func() (stream.FileBacked, error) {
-		return stream.OpenAutoOpts(w.Path, stream.OpenOptions{PreferMmap: true, DecodeCache: true})
-	}); err != nil {
-		return bk, err
-	}
+	sort.Float64s(rates)
+	bk.EdgesPerS2 = rates[rounds/2]
 	return bk, nil
-}
-
-// benchEdgesPerSecond times one raw scan of the cached .bex.
-func benchEdgesPerSecond(w Workload) (float64, error) {
-	src, err := stream.OpenAuto(w.Path)
-	if err != nil {
-		return 0, fmt.Errorf("exp: bench %s: %w", w.Name, err)
-	}
-	defer src.Close()
-	start := time.Now()
-	m, err := stream.CountEdges(src)
-	if err != nil {
-		return 0, fmt.Errorf("exp: bench %s: %w", w.Name, err)
-	}
-	elapsed := time.Since(start).Seconds()
-	if elapsed <= 0 {
-		elapsed = 1e-9
-	}
-	return float64(m) / elapsed, nil
 }

@@ -96,7 +96,7 @@ func TestBenchSweep(t *testing.T) {
 		"err.median.eps0.20", "err.median.eps0.10", "err.median.eps0.05",
 		"estimate.trial0.eps0.10", "passes.eps0.10", "scans.eps0.10",
 		"space.mean_words.eps0.10", "kappa_hat.passes",
-		"invariant.workers.eps0.10", "edges_per_s.bex", "wall_ms.sweep",
+		"invariant.workers.eps0.10", "bytes_on_disk.bex2", "edges_per_s.bex2", "wall_ms.sweep",
 	} {
 		if _, ok := w.Metrics[key]; !ok {
 			t.Errorf("metric %q missing", key)

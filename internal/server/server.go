@@ -43,17 +43,10 @@ type Config struct {
 	// RetryAttempts is the transient-I/O retry budget of shared scans
 	// (0 = library default, negative = disabled).
 	RetryAttempts int
-	// PreferMmap serves .bex v2 graphs (and .bexd parts) through the
-	// mmap-backed reader; estimates are identical either way.
-	PreferMmap bool
 	// DecodeCacheBytes is the budget of the process-wide decoded-block
 	// cache serving repeat .bex v2 block reads (0 = the stream default of
 	// 64 MiB, negative = disabled). Estimates are identical either way.
 	DecodeCacheBytes int64
-	// DisableSIMD turns the vectorized .bex v2 block decoder off for the
-	// process (the -no-simd escape hatch); decoded edges are identical
-	// either way.
-	DisableSIMD bool
 
 	// MaxConcurrent is the execution slot count. Default 2×GOMAXPROCS,
 	// floored at 4.
@@ -154,9 +147,8 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Graphs) == 0 {
 		return nil, fmt.Errorf("server: no graphs registered")
 	}
-	// Process-wide decode engine knobs: the daemon owns its process, so its
-	// config is the authority on them.
-	stream.SetSIMDDecode(!cfg.DisableSIMD)
+	// The decoded-block cache is process-wide: the daemon owns its process,
+	// so its config is the authority on the budget.
 	stream.SetDecodeCacheBudget(cfg.DecodeCacheBytes)
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{

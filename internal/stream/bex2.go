@@ -51,11 +51,11 @@ import (
 //	  [16:28] reserved (zero)
 //	  [28:32] magic "2XEB"
 //
-// Unlike v1's flat fixed-width records, edge i is not at a computable byte
-// offset — but the footer index maps any position range to its covering
-// blocks with a binary search, so RangeStream still seeks directly (to a
-// block boundary, decoding at most one block of prefix), with no index to
-// build and no first-scan special case. The lazy position→offset index of
+// Edge i is not at a computable byte offset (records are variable-width),
+// but the footer index maps any position range to its covering blocks with
+// a binary search, so RangeStream still seeks directly (to a block
+// boundary, decoding at most one block of prefix), with no index to build
+// and no first-scan special case. The lazy position→offset index of
 // the text path (FileStream) has no v2 counterpart by construction.
 //
 // Integrity: the tail magic, footer geometry (offset/count vs file size),
@@ -104,9 +104,9 @@ var bex2GVMask = [4]uint64{0xff, 0xffff, 0xffffff, 0xffffffff}
 func bex2CtrlLen(count int) int { return (2*count + 3) / 4 }
 
 // simdDecode gates the vectorized block-decode kernel (internal/stream/
-// gvdecode). On by default wherever the kernel exists; SetSIMDDecode(false)
-// is the -no-simd escape hatch. Atomic because daemons flip it at startup
-// while tests flip it per-case.
+// gvdecode). On wherever CPUID finds the kernel; SetSIMDDecode(false) is the
+// test hook the {scalar, SIMD} equivalence sweeps flip. Atomic because tests
+// flip it per-case while other goroutines decode.
 var simdDecode atomic.Bool
 
 func init() { simdDecode.Store(gvdecode.Available()) }
@@ -172,8 +172,10 @@ func (mt *bex2Meta) findBlock(pos int) int {
 
 // WriteBex2 writes the stream to w in .bex v2 format with the given target
 // block size (<= 0 selects DefaultBlockEdges) and returns the number of
-// edges written. Like WriteBex, the stream length must be known up front
-// unless w is seekable (the header's count is patched afterwards).
+// edges written. The stream length must be known up front unless w is
+// seekable (the header's count is patched afterwards). The patch is made at
+// the header's own offset, so a .bex section appended mid-file leaves the
+// bytes before it intact.
 func WriteBex2(w io.Writer, s Stream, blockEdges int) (int, error) {
 	if blockEdges <= 0 {
 		blockEdges = DefaultBlockEdges
@@ -589,25 +591,6 @@ func decodeBex2Block(path string, idx int, b bex2Block, raw []byte, dst []graph.
 	return nil
 }
 
-// bex2Source yields the raw bytes of block k. The buffered implementation
-// reads them from the file; the mmap implementation slices the mapping.
-type bex2Source interface {
-	// open readies the source for reads (called by Reset; idempotent).
-	open() error
-	// block returns block k's raw bytes, valid until the next block call.
-	block(k int) ([]byte, error)
-	// close releases the source's resources; open may be called again after.
-	close() error
-}
-
-// rangeAdviser is optionally implemented by block sources that can hint the
-// OS about a cursor's upcoming access pattern (the mmap source issues
-// madvise). advise is called by reset, after open, with the cursor's
-// position window.
-type rangeAdviser interface {
-	advise(lo, hi int)
-}
-
 // bex2ReadAhead is how far the buffered source reads past a requested block
 // in one positioned read (capped by the cursor's window): compressed blocks
 // are small, so one syscall typically serves many consecutive blocks.
@@ -626,6 +609,7 @@ type bex2FileSource struct {
 	bufOff   int64 // file offset of buf[0]
 }
 
+// open readies the source for reads (called by reset; idempotent).
 func (s *bex2FileSource) open() error {
 	if s.file != nil {
 		return nil
@@ -638,6 +622,7 @@ func (s *bex2FileSource) open() error {
 	return nil
 }
 
+// block returns block k's raw bytes, valid until the next block call.
 func (s *bex2FileSource) block(k int) ([]byte, error) {
 	b := s.meta.blocks[k]
 	end := b.off + int64(b.length)
@@ -663,6 +648,7 @@ func (s *bex2FileSource) block(k int) ([]byte, error) {
 	return raw[:b.length], nil
 }
 
+// close releases the file handle; open may be called again after.
 func (s *bex2FileSource) close() error {
 	s.buf, s.bufOff = nil, 0
 	if s.file == nil {
@@ -674,12 +660,12 @@ func (s *bex2FileSource) close() error {
 }
 
 // bex2Cursor is the shared pass machinery of every v2 reader: a window
-// [lo, hi) of stream positions served block by block from a bex2Source.
+// [lo, hi) of stream positions served block by block from its file source.
 // The full-file stream is the window [0, m); range sub-streams are smaller
 // windows with their own source.
 type bex2Cursor struct {
 	meta    *bex2Meta
-	src     bex2Source
+	src     *bex2FileSource
 	lo, hi  int
 	pos     int // next position to deliver
 	blk     int // block that decoded holds, -1 when none
@@ -714,17 +700,11 @@ func (c *bex2Cursor) reset() error {
 	if c.lo == c.hi {
 		return nil
 	}
-	if fs, ok := c.src.(*bex2FileSource); ok && fs.limitOff == 0 {
+	if c.src.limitOff == 0 {
 		last := c.meta.blocks[c.meta.findBlock(c.hi-1)]
-		fs.limitOff = last.off + int64(last.length)
+		c.src.limitOff = last.off + int64(last.length)
 	}
-	if err := c.src.open(); err != nil {
-		return err
-	}
-	if ad, ok := c.src.(rangeAdviser); ok {
-		ad.advise(c.lo, c.hi)
-	}
-	return nil
+	return c.src.open()
 }
 
 // load decodes (or cache-fetches) the block containing c.pos and positions

@@ -51,9 +51,9 @@ func sameEdges(t *testing.T, got, want []graph.Edge, what string) {
 	}
 }
 
-// TestBex2RoundTrip pins the v2 codec: every reader (buffered, mmap) returns
-// the written edges exactly, across block sizes that exercise partial final
-// blocks, single-edge blocks, and an empty stream, over repeated passes.
+// TestBex2RoundTrip pins the v2 codec: the reader returns the written edges
+// exactly, across block sizes that exercise partial final blocks,
+// single-edge blocks, and an empty stream, over repeated passes.
 func TestBex2RoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -75,30 +75,22 @@ func TestBex2RoundTrip(t *testing.T) {
 			if err != nil || n != tc.m {
 				t.Fatalf("WriteBex2File = %d, %v", n, err)
 			}
-			for _, open := range []struct {
-				name string
-				open func(string) (FileBacked, error)
-			}{
-				{"buffered", func(p string) (FileBacked, error) { return OpenBex2(p) }},
-				{"mmap", func(p string) (FileBacked, error) { return OpenBexMap(p) }},
-			} {
-				s, err := open.open(path)
-				if err != nil {
-					t.Fatalf("%s open: %v", open.name, err)
-				}
-				if m, known := s.Len(); !known || m != tc.m {
-					t.Fatalf("%s Len = %d, %v", open.name, m, known)
-				}
-				for pass := 0; pass < 2; pass++ {
-					sameEdges(t, collectAll(t, s), edges, open.name)
-				}
-				// Close then Reset must work, matching the v1 contract.
-				if err := s.Close(); err != nil {
-					t.Fatalf("%s close: %v", open.name, err)
-				}
-				sameEdges(t, collectAll(t, s), edges, open.name+" after close")
-				s.Close()
+			s, err := OpenBex2(path)
+			if err != nil {
+				t.Fatalf("open: %v", err)
 			}
+			if m, known := s.Len(); !known || m != tc.m {
+				t.Fatalf("Len = %d, %v", m, known)
+			}
+			for pass := 0; pass < 2; pass++ {
+				sameEdges(t, collectAll(t, s), edges, "pass")
+			}
+			// Close then Reset must work, matching every file-backed stream.
+			if err := s.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			sameEdges(t, collectAll(t, s), edges, "after close")
+			s.Close()
 		})
 	}
 }
@@ -134,21 +126,20 @@ func TestBex2NextMatchesNextBatch(t *testing.T) {
 
 // TestBex2SmallerThanV1 pins the compression claim the bench gate tracks:
 // on realistic (small-delta) edge streams the v2 encoding is strictly
-// smaller than v1's flat 8 bytes per edge.
+// smaller than the retired v1 layout (a 16-byte header plus a flat 8 bytes
+// per edge).
 func TestBex2SmallerThanV1(t *testing.T) {
 	edges := benchEdges(1 << 14)
-	dir := t.TempDir()
-	v1, v2 := filepath.Join(dir, "g1.bex"), filepath.Join(dir, "g2.bex")
-	if _, err := WriteBexFile(v1, FromEdges(edges)); err != nil {
-		t.Fatal(err)
-	}
+	v2 := filepath.Join(t.TempDir(), "g2.bex")
 	if _, err := WriteBex2File(v2, FromEdges(edges), 0); err != nil {
 		t.Fatal(err)
 	}
-	s1, _ := os.Stat(v1)
-	s2, _ := os.Stat(v2)
-	if s2.Size() >= s1.Size() {
-		t.Fatalf("v2 (%d bytes) not smaller than v1 (%d bytes)", s2.Size(), s1.Size())
+	s2, err := os.Stat(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v1 := int64(16 + 8*len(edges)); s2.Size() >= v1 {
+		t.Fatalf("v2 (%d bytes) not smaller than v1 (%d bytes)", s2.Size(), v1)
 	}
 }
 
@@ -183,43 +174,33 @@ func TestBex2WritePatchesUnknownLength(t *testing.T) {
 
 // TestBex2RangeStream pins range semantics: every [lo, hi) window — aligned,
 // straddling block boundaries, within one block, empty — yields exactly the
-// window's edges, for both readers.
+// window's edges.
 func TestBex2RangeStream(t *testing.T) {
 	edges := bex2TestEdges(700)
 	path := filepath.Join(t.TempDir(), "g.bex")
 	if _, err := WriteBex2File(path, FromEdges(edges), 64); err != nil {
 		t.Fatal(err)
 	}
-	buffered, err := OpenBex2(path)
+	rs, err := OpenBex2(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer buffered.Close()
-	mapped, err := OpenBexMap(path)
-	if err != nil {
-		t.Fatal(err)
+	defer rs.Close()
+	for _, win := range [][2]int{
+		{0, 0}, {0, 700}, {0, 64}, {64, 128}, {10, 20}, {60, 70},
+		{63, 65}, {640, 700}, {699, 700}, {0, 1}, {130, 530},
+	} {
+		sub, ok := rs.RangeStream(win[0], win[1])
+		if !ok {
+			t.Fatalf("RangeStream(%d, %d) unavailable", win[0], win[1])
+		}
+		sameEdges(t, collectAll(t, sub), edges[win[0]:win[1]], "range")
+		if c, ok := sub.(interface{ Close() error }); ok {
+			c.Close()
+		}
 	}
-	defer mapped.Close()
-	for _, rs := range []struct {
-		name string
-		rs   RangeStreamer
-	}{{"buffered", buffered}, {"mmap", mapped}} {
-		for _, win := range [][2]int{
-			{0, 0}, {0, 700}, {0, 64}, {64, 128}, {10, 20}, {60, 70},
-			{63, 65}, {640, 700}, {699, 700}, {0, 1}, {130, 530},
-		} {
-			sub, ok := rs.rs.RangeStream(win[0], win[1])
-			if !ok {
-				t.Fatalf("%s: RangeStream(%d, %d) unavailable", rs.name, win[0], win[1])
-			}
-			sameEdges(t, collectAll(t, sub), edges[win[0]:win[1]], rs.name)
-			if c, ok := sub.(interface{ Close() error }); ok {
-				c.Close()
-			}
-		}
-		if _, ok := rs.rs.RangeStream(0, 701); ok {
-			t.Fatalf("%s: out-of-bounds range accepted", rs.name)
-		}
+	if _, ok := rs.RangeStream(0, 701); ok {
+		t.Fatal("out-of-bounds range accepted")
 	}
 }
 
@@ -237,7 +218,6 @@ func TestBex2NoFirstScanIndexBuild(t *testing.T) {
 		open func() (FileBacked, error)
 	}{
 		{"bex2", func() (FileBacked, error) { return OpenBex2(filepath.Join(dir, "g.bex")) }},
-		{"bex2-mmap", func() (FileBacked, error) { return OpenBexMap(filepath.Join(dir, "g.bex")) }},
 		{"bexd", func() (FileBacked, error) { return OpenBexd(filepath.Join(dir, "g.bexd")) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -245,10 +225,8 @@ func TestBex2NoFirstScanIndexBuild(t *testing.T) {
 				if _, err := WriteBexd(filepath.Join(dir, "g.bexd"), FromEdges(edges), 512, 10_000); err != nil {
 					t.Fatal(err)
 				}
-			} else if _, err := os.Stat(filepath.Join(dir, "g.bex")); err != nil {
-				if _, err := WriteBex2File(filepath.Join(dir, "g.bex"), FromEdges(edges), 512); err != nil {
-					t.Fatal(err)
-				}
+			} else if _, err := WriteBex2File(filepath.Join(dir, "g.bex"), FromEdges(edges), 512); err != nil {
+				t.Fatal(err)
 			}
 			fb, err := tc.open()
 			if err != nil {
@@ -289,10 +267,12 @@ func corrupt(t *testing.T, dir, name string, raw []byte, mutate func([]byte) []b
 	return path
 }
 
-// TestOpenBex2ValidatesContainer is the v2 counterpart of the PR 4 v1
-// corruption suite: every way the container metadata can lie — truncation,
-// resize, forged counts, footer damage — fails at OpenBex2 with the right
-// sentinel, never as a wrong answer or a mid-pass surprise.
+// TestOpenBex2ValidatesContainer is the container corruption suite: every
+// way the metadata can lie — truncation, resize, forged counts, footer
+// damage, a foreign or retired magic — fails at OpenBex2 and at OpenAuto
+// with the right sentinel, never as a wrong answer, a mid-pass surprise, or
+// a text-parser file:line error (the text path opens anything and fails
+// only at Reset, so an error from OpenAuto itself proves it was not taken).
 func TestOpenBex2ValidatesContainer(t *testing.T) {
 	edges := bex2TestEdges(1000)
 	dir := t.TempDir()
@@ -308,31 +288,37 @@ func TestOpenBex2ValidatesContainer(t *testing.T) {
 		name   string
 		mutate func([]byte) []byte
 		want   error
+		// auto is a substring OpenAuto's diagnosis must carry ("" = any).
+		auto string
 	}{
-		{"bad-magic", func(b []byte) []byte { b[0] = 'X'; return b }, ErrCorruptHeader},
-		{"too-short", func(b []byte) []byte { return b[:40] }, ErrCorruptHeader},
-		{"truncated-tail", func(b []byte) []byte { return b[:len(b)-7] }, ErrTruncated},
+		{"bad-magic", func(b []byte) []byte { b[0] = 'X'; return b }, ErrCorruptHeader, "not a .bex v2 file"},
+		{"garbage-magic", func(b []byte) []byte { copy(b, "\x00\xffZ?"); return b }, ErrCorruptHeader, "not a .bex v2 file"},
+		// A retired v1 file is refused by content, under any name.
+		{"v1-magic", func(b []byte) []byte { copy(b, "BEX1"); return b }, ErrCorruptHeader, "v1 files are no longer read"},
+		{"v1-header-only", func(b []byte) []byte { return append([]byte("BEX1"), make([]byte, 12)...) }, ErrCorruptHeader, "graphgen -convert"},
+		{"too-short", func(b []byte) []byte { return b[:40] }, ErrCorruptHeader, ""},
+		{"truncated-tail", func(b []byte) []byte { return b[:len(b)-7] }, ErrTruncated, ""},
 		{"truncated-footer", func(b []byte) []byte {
 			// Drop one footer record but keep the tail intact: geometry check.
 			return append(append([]byte(nil), b[:len(b)-bex2TailSize-bex2FooterRec]...), b[len(b)-bex2TailSize:]...)
-		}, ErrCorruptHeader},
-		{"trailing-garbage", func(b []byte) []byte { return append(b, 0xAA) }, ErrTruncated},
+		}, ErrCorruptHeader, ""},
+		{"trailing-garbage", func(b []byte) []byte { return append(b, 0xAA) }, ErrTruncated, ""},
 		{"lying-edge-count", func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[8:], uint64(len(edges)+7))
 			return b
-		}, ErrCorruptHeader},
+		}, ErrCorruptHeader, ""},
 		{"implausible-block-size", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[4:], 0)
 			return b
-		}, ErrCorruptHeader},
+		}, ErrCorruptHeader, ""},
 		{"footer-bit-flip", func(b []byte) []byte {
 			b[len(b)-bex2TailSize-bex2FooterRec+16] ^= 1 // a block count in the footer
 			return b
-		}, ErrCorruptHeader},
+		}, ErrCorruptHeader, ""},
 		{"tail-block-count", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[len(b)-bex2TailSize+8:], 3)
 			return b
-		}, ErrCorruptHeader},
+		}, ErrCorruptHeader, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := corrupt(t, dir, tc.name+".bex", raw, tc.mutate)
@@ -343,8 +329,21 @@ func TestOpenBex2ValidatesContainer(t *testing.T) {
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("error %v does not wrap %v", err, tc.want)
 			}
-			if _, err := OpenBexMap(path); err == nil {
-				t.Fatal("mmap reader accepted a corrupt container")
+			paths := []string{path}
+			if strings.HasPrefix(tc.name, "v1-") {
+				paths = append(paths, corrupt(t, dir, tc.name+".txt", raw, tc.mutate))
+			}
+			for _, p := range paths {
+				fb, err := OpenAuto(p)
+				if err == nil {
+					fb.Close()
+					t.Fatalf("OpenAuto(%s) accepted a corrupt container", filepath.Base(p))
+				}
+				if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.auto) ||
+					!strings.Contains(err.Error(), p) {
+					t.Fatalf("OpenAuto(%s) = %v, want %v naming the file and carrying %q",
+						filepath.Base(p), err, tc.want, tc.auto)
+				}
 			}
 		})
 	}
@@ -377,39 +376,31 @@ func TestBex2BlockCorruptionFailsDeterministically(t *testing.T) {
 		b[off] ^= 0x40
 		return b
 	})
-	for _, open := range []struct {
-		name string
-		open func(string) (FileBacked, error)
-	}{
-		{"buffered", func(p string) (FileBacked, error) { return OpenBex2(p) }},
-		{"mmap", func(p string) (FileBacked, error) { return OpenBexMap(p) }},
-	} {
-		s, err := open.open(path)
-		if err != nil {
-			t.Fatalf("%s: block corruption must not fail at open (container is intact): %v", open.name, err)
-		}
-		if _, err := Collect(s); !errors.Is(err, ErrCorruptBlock) {
-			t.Fatalf("%s: full pass error %v, want ErrCorruptBlock", open.name, err)
-		}
-		// A range inside the damaged block hits the same error; a range that
-		// avoids it still succeeds.
-		sub, _ := s.(RangeStreamer).RangeStream(200, 210)
-		if _, err := Collect(sub); !errors.Is(err, ErrCorruptBlock) {
-			t.Fatalf("%s: range over damaged block: %v, want ErrCorruptBlock", open.name, err)
-		}
-		clean, _ := s.(RangeStreamer).RangeStream(0, 192)
-		got, err := Collect(clean)
-		if err != nil {
-			t.Fatalf("%s: range over clean blocks: %v", open.name, err)
-		}
-		sameEdges(t, got, edges[:192], open.name+" clean range")
-		s.(FileBacked).Close()
+	s, err := OpenBex2(path)
+	if err != nil {
+		t.Fatalf("block corruption must not fail at open (container is intact): %v", err)
 	}
+	defer s.Close()
+	if _, err := Collect(s); !errors.Is(err, ErrCorruptBlock) {
+		t.Fatalf("full pass error %v, want ErrCorruptBlock", err)
+	}
+	// A range inside the damaged block hits the same error; a range that
+	// avoids it still succeeds.
+	sub, _ := s.RangeStream(200, 210)
+	if _, err := Collect(sub); !errors.Is(err, ErrCorruptBlock) {
+		t.Fatalf("range over damaged block: %v, want ErrCorruptBlock", err)
+	}
+	clean, _ := s.RangeStream(0, 192)
+	got, err := Collect(clean)
+	if err != nil {
+		t.Fatalf("range over clean blocks: %v", err)
+	}
+	sameEdges(t, got, edges[:192], "clean range")
 }
 
 // TestBexdRoundTrip pins the sharded layout: a multi-part directory round
-// trips exactly, with both buffered and mmap part readers, repeated passes,
-// and ranges that span part boundaries.
+// trips exactly, over repeated passes and ranges that span part
+// boundaries.
 func TestBexdRoundTrip(t *testing.T) {
 	edges := bex2TestEdges(2500)
 	dir := filepath.Join(t.TempDir(), "g.bexd")
@@ -428,40 +419,38 @@ func TestBexdRoundTrip(t *testing.T) {
 	if err := VerifyBexd(dir); err != nil {
 		t.Fatalf("VerifyBexd on a fresh directory: %v", err)
 	}
-	for _, mmap := range []bool{false, true} {
-		ms, err := OpenBexdPrefer(dir, mmap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m, known := ms.Len(); !known || m != len(edges) {
-			t.Fatalf("Len = %d, %v", m, known)
-		}
-		for pass := 0; pass < 2; pass++ {
-			sameEdges(t, collectAll(t, ms), edges, "bexd full pass")
-		}
-		for _, win := range [][2]int{
-			{0, 0}, {0, 2500}, {0, 700}, {700, 1400}, {650, 750},
-			{699, 701}, {100, 2400}, {2100, 2500}, {1399, 1401},
-		} {
-			sub, ok := ms.RangeStream(win[0], win[1])
-			if !ok {
-				t.Fatalf("RangeStream(%d, %d) unavailable", win[0], win[1])
-			}
-			sameEdges(t, collectAll(t, sub), edges[win[0]:win[1]], "bexd range")
-			if c, ok := sub.(interface{ Close() error }); ok {
-				c.Close()
-			}
-		}
-		if _, ok := ms.RangeStream(0, 2501); ok {
-			t.Fatal("out-of-bounds range accepted")
-		}
-		if err := ms.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Close then Reset works, matching every other file-backed stream.
-		sameEdges(t, collectAll(t, ms), edges, "bexd after close")
-		ms.Close()
+	ms, err := OpenBexd(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if m, known := ms.Len(); !known || m != len(edges) {
+		t.Fatalf("Len = %d, %v", m, known)
+	}
+	for pass := 0; pass < 2; pass++ {
+		sameEdges(t, collectAll(t, ms), edges, "bexd full pass")
+	}
+	for _, win := range [][2]int{
+		{0, 0}, {0, 2500}, {0, 700}, {700, 1400}, {650, 750},
+		{699, 701}, {100, 2400}, {2100, 2500}, {1399, 1401},
+	} {
+		sub, ok := ms.RangeStream(win[0], win[1])
+		if !ok {
+			t.Fatalf("RangeStream(%d, %d) unavailable", win[0], win[1])
+		}
+		sameEdges(t, collectAll(t, sub), edges[win[0]:win[1]], "bexd range")
+		if c, ok := sub.(interface{ Close() error }); ok {
+			c.Close()
+		}
+	}
+	if _, ok := ms.RangeStream(0, 2501); ok {
+		t.Fatal("out-of-bounds range accepted")
+	}
+	if err := ms.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Close then Reset works, matching every other file-backed stream.
+	sameEdges(t, collectAll(t, ms), edges, "bexd after close")
+	ms.Close()
 }
 
 // TestBexdValidation pins the directory-level failure modes: structural
@@ -557,10 +546,6 @@ func TestOpenAutoDispatch(t *testing.T) {
 	if err := tf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v1 := filepath.Join(dir, "g1.bex")
-	if _, err := WriteBexFile(v1, FromEdges(edges)); err != nil {
-		t.Fatal(err)
-	}
 	v2 := filepath.Join(dir, "g2.bex")
 	if _, err := WriteBex2File(v2, FromEdges(edges), 64); err != nil {
 		t.Fatal(err)
@@ -577,24 +562,19 @@ func TestOpenAutoDispatch(t *testing.T) {
 
 	for _, tc := range []struct {
 		path    string
-		mmap    bool
 		backend string
 	}{
-		{text, false, BackendText},
-		{v1, false, BackendBex1},
-		{v1, true, BackendBex1}, // no mmap reader for v1: preference ignored
-		{v2, false, BackendBex2},
-		{v2, true, BackendBex2Mmap},
-		{v2odd, false, BackendBex2},
-		{bexd, false, BackendBexd},
-		{bexd, true, BackendBexd},
+		{text, BackendText},
+		{v2, BackendBex2},
+		{v2odd, BackendBex2},
+		{bexd, BackendBexd},
 	} {
-		s, err := OpenAutoPrefer(tc.path, tc.mmap)
+		s, err := OpenAuto(tc.path)
 		if err != nil {
-			t.Fatalf("OpenAutoPrefer(%s, %v): %v", tc.path, tc.mmap, err)
+			t.Fatalf("OpenAuto(%s): %v", tc.path, err)
 		}
 		if got := BackendOf(s); got != tc.backend {
-			t.Fatalf("BackendOf(%s, mmap=%v) = %q, want %q", tc.path, tc.mmap, got, tc.backend)
+			t.Fatalf("BackendOf(%s) = %q, want %q", tc.path, got, tc.backend)
 		}
 		sameEdges(t, collectAll(t, s), edges, tc.backend)
 		s.Close()

@@ -2,16 +2,16 @@ package stream
 
 import (
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"degentri/internal/graph"
 )
 
-// hideLen masks a stream's length so WriteBex must take the patch-afterwards
-// path that relies on the writer being seekable.
+// hideLen masks a stream's length so WriteBex2 must take the
+// patch-afterwards path that relies on the writer being seekable.
 type hideLen struct{ Stream }
 
 func (hideLen) Len() (int, bool) { return 0, false }
@@ -32,13 +32,17 @@ func TestWriteBexAtNonzeroOffset(t *testing.T) {
 	if _, err := f.Write(prefix); err != nil {
 		t.Fatal(err)
 	}
-	n, err := WriteBex(f, hideLen{FromEdges(edges)})
+	n, err := WriteBex2(f, hideLen{FromEdges(edges)}, 0)
 	if err != nil || n != len(edges) {
-		t.Fatalf("WriteBex = %d, %v", n, err)
+		t.Fatalf("WriteBex2 = %d, %v", n, err)
 	}
 	// The writer must be left at the end of the .bex section.
-	if pos, err := f.Seek(0, 1); err != nil || pos != int64(len(prefix)+bexHeaderSize+n*bexRecordSize) {
-		t.Fatalf("writer position = %d, %v", pos, err)
+	end, err := f.Seek(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, err := f.Stat(); err != nil || end != info.Size() {
+		t.Fatalf("writer position = %d, want the section end (%v)", end, err)
 	}
 
 	raw, err := os.ReadFile(path)
@@ -49,31 +53,26 @@ func TestWriteBexAtNonzeroOffset(t *testing.T) {
 		t.Fatalf("prefix corrupted by the length patch: %q", raw[:len(prefix)])
 	}
 	section := raw[len(prefix):]
-	if string(section[:4]) != bexMagic {
+	if string(section[:4]) != bex2Magic {
 		t.Fatalf("no magic at the base offset: %q", section[:4])
 	}
 	if got := binary.LittleEndian.Uint64(section[8:]); got != uint64(len(edges)) {
 		t.Fatalf("patched edge count = %d, want %d", got, len(edges))
 	}
-	for i, e := range edges {
-		rec := section[bexHeaderSize+i*bexRecordSize:]
-		if got := decodeBexRecord(rec); got != e {
-			t.Fatalf("record %d = %v, want %v", i, got, e)
-		}
-	}
 }
 
-// TestOpenBexValidatesFileSize pins the open-time size check: a truncated
-// file or a header that lies about its edge count fails at OpenBex, not with
-// a mid-pass truncation error on edge k.
+// TestOpenBexValidatesFileSize pins the open-time size check through
+// OpenAuto: a truncated file, a header that lies about its edge count, or
+// trailing bytes fail at open, not with a mid-pass truncation error on edge
+// k.
 func TestOpenBexValidatesFileSize(t *testing.T) {
 	edges := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}}
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.bex")
-	if _, err := WriteBexFile(good, FromEdges(edges)); err != nil {
+	if _, err := WriteBex2File(good, FromEdges(edges), 0); err != nil {
 		t.Fatal(err)
 	}
-	if bs, err := OpenBex(good); err != nil {
+	if bs, err := OpenAuto(good); err != nil {
 		t.Fatalf("valid file rejected: %v", err)
 	} else {
 		bs.Close()
@@ -82,42 +81,34 @@ func TestOpenBexValidatesFileSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	truncated := filepath.Join(dir, "truncated.bex")
-	if err := os.WriteFile(truncated, raw[:len(raw)-5], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenBex(truncated); err == nil || !strings.Contains(err.Error(), "bytes") {
-		t.Fatalf("truncated file should fail at open time, got %v", err)
-	}
-
-	lying := filepath.Join(dir, "lying.bex")
-	forged := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint64(forged[8:], uint64(len(edges)+7))
-	if err := os.WriteFile(lying, forged, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenBex(lying); err == nil {
-		t.Fatal("over-declared edge count should fail at open time")
-	}
-
-	trailing := filepath.Join(dir, "trailing.bex")
-	if err := os.WriteFile(trailing, append(append([]byte(nil), raw...), 0xAA), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenBex(trailing); err == nil {
-		t.Fatal("trailing garbage should fail at open time")
+	for _, tc := range []struct {
+		name   string
+		mutate func([]byte) []byte
+		want   error
+	}{
+		{"truncated", func(b []byte) []byte { return b[:len(b)-5] }, ErrTruncated},
+		{"lying", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[8:], uint64(len(edges)+7))
+			return b
+		}, ErrCorruptHeader},
+		{"trailing", func(b []byte) []byte { return append(b, 0xAA) }, ErrTruncated},
+	} {
+		path := corrupt(t, dir, tc.name+".bex", raw, tc.mutate)
+		if _, err := OpenAuto(path); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: open error %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 
-// TestWriteBexNonSeekableStillNeedsLength documents the unchanged contract
-// for non-seekable writers.
+// TestWriteBexNonSeekableStillNeedsLength documents the contract for
+// non-seekable writers: the header's count cannot be patched, so the stream
+// must know its length up front.
 func TestWriteBexNonSeekableStillNeedsLength(t *testing.T) {
 	var sink writerOnly
-	if _, err := WriteBex(&sink, hideLen{FromEdges([]graph.Edge{{U: 0, V: 1}})}); err == nil {
+	if _, err := WriteBex2(&sink, hideLen{FromEdges([]graph.Edge{{U: 0, V: 1}})}, 0); err == nil {
 		t.Fatal("unknown length + non-seekable writer must error")
 	}
-	if n, err := WriteBex(&sink, FromEdges([]graph.Edge{{U: 0, V: 1}})); err != nil || n != 1 {
+	if n, err := WriteBex2(&sink, FromEdges([]graph.Edge{{U: 0, V: 1}}), 0); err != nil || n != 1 {
 		t.Fatalf("known length + non-seekable writer: %d, %v", n, err)
 	}
 }

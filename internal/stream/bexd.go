@@ -39,7 +39,7 @@ const (
 	// incompatibly; OpenBexd refuses versions it does not know.
 	bexdSchemaVersion = 1
 	// DefaultPartEdges is the default part size for WriteBexd: one part per
-	// 2^20 edges (8 MiB of v1-equivalent data; typically ~2-4 MiB of v2).
+	// 2^20 edges (typically ~2-4 MiB of v2).
 	DefaultPartEdges = 1 << 20
 )
 
@@ -207,64 +207,45 @@ type MultiBexStream struct {
 	dir   string
 	man   *BexdManifest
 	metas []*bex2Meta
-	maps  []*bexMapping // non-nil per part when the mmap reader is preferred
-	cache bool          // part cursors use the decoded-block cache
+	cache bool // part cursors use the decoded-block cache
 
 	subs   []Stream // one cursor-backed stream per part, reset lazily
 	idx    int
 	active bool
 }
 
-// OpenBexd opens a .bexd directory with buffered part readers. Every part's
-// container geometry is validated eagerly (the same checks as OpenBex2 on
-// each file, plus agreement with the manifest's per-part edge counts), so a
-// deleted, truncated, or swapped part fails at open, not mid-pass. Part
-// SHA-256s are not re-hashed here — that is VerifyBexd, the integrity deep
-// check — but every block read still verifies its own CRC.
+// OpenBexd opens a .bexd directory. Every part's container geometry is
+// validated eagerly (the same checks as OpenBex2 on each file, plus
+// agreement with the manifest's per-part edge counts), so a deleted,
+// truncated, or swapped part fails at open, not mid-pass. Part SHA-256s are
+// not re-hashed here — that is VerifyBexd, the integrity deep check — but
+// every block read still verifies its own CRC.
 func OpenBexd(dir string) (*MultiBexStream, error) {
-	return OpenBexdPrefer(dir, false)
+	return openBexd(dir, false)
 }
 
-// OpenBexdPrefer is OpenBexd with a reader preference: when mmap is true,
-// parts are served by the mmap-backed reader.
-func OpenBexdPrefer(dir string, mmap bool) (*MultiBexStream, error) {
-	return openBexdOpts(dir, mmap, false)
-}
-
-func openBexdOpts(dir string, mmap, cache bool) (*MultiBexStream, error) {
+func openBexd(dir string, cache bool) (*MultiBexStream, error) {
 	man, err := ReadBexdManifest(dir)
 	if err != nil {
 		return nil, err
 	}
 	ms := &MultiBexStream{dir: dir, man: man, metas: make([]*bex2Meta, len(man.Parts)), cache: cache}
-	if mmap {
-		ms.maps = make([]*bexMapping, len(man.Parts))
-	}
 	for i, p := range man.Parts {
 		path := filepath.Join(dir, p.File)
 		file, err := os.Open(path)
 		if err != nil {
 			return nil, fmt.Errorf("stream: %s: .bexd part %d: %w (%w)", dir, i, err, ErrTruncated)
 		}
-		meta, merr := readBex2Meta(file, path)
-		var size int64
-		if merr == nil {
-			if info, serr := file.Stat(); serr == nil {
-				size = info.Size()
-			}
-		}
+		meta, err := readBex2Meta(file, path)
 		file.Close()
-		if merr != nil {
-			return nil, merr
+		if err != nil {
+			return nil, err
 		}
 		if meta.m != p.Edges {
 			return nil, fmt.Errorf("stream: %s: .bexd part %d holds %d edges but the manifest declares %d: %w",
 				dir, i, meta.m, p.Edges, ErrCorruptHeader)
 		}
 		ms.metas[i] = meta
-		if mmap {
-			ms.maps[i] = &bexMapping{path: path, size: size}
-		}
 	}
 	ms.subs = make([]Stream, len(ms.metas))
 	for i := range ms.metas {
@@ -273,17 +254,10 @@ func openBexdOpts(dir string, mmap, cache bool) (*MultiBexStream, error) {
 	return ms, nil
 }
 
-// partStream builds a cursor over positions [lo, hi) of part i, through the
-// directory's preferred block source.
+// partStream builds a cursor over positions [lo, hi) of part i.
 func (ms *MultiBexStream) partStream(i, lo, hi int) Stream {
 	meta := ms.metas[i]
-	var src bex2Source
-	if ms.maps != nil {
-		src = &bex2MapSource{meta: meta, mp: ms.maps[i]}
-	} else {
-		src = &bex2FileSource{meta: meta}
-	}
-	return &bex2Range{cur: bex2Cursor{meta: meta, src: src, lo: lo, hi: hi, cache: ms.cache}}
+	return &bex2Range{cur: bex2Cursor{meta: meta, src: &bex2FileSource{meta: meta}, lo: lo, hi: hi, cache: ms.cache}}
 }
 
 // Reset implements Stream.

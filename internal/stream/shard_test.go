@@ -172,10 +172,10 @@ func TestBexRoundTrip(t *testing.T) {
 	edges := shardTestEdges(20000)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "edges.bex")
-	if n, err := WriteBexFile(path, FromEdges(edges)); err != nil || n != len(edges) {
-		t.Fatalf("WriteBexFile = %d, %v", n, err)
+	if n, err := WriteBex2File(path, FromEdges(edges), 0); err != nil || n != len(edges) {
+		t.Fatalf("WriteBex2File = %d, %v", n, err)
 	}
-	bs, err := OpenBex(path)
+	bs, err := OpenBex2(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +198,10 @@ func TestBexRoundTrip(t *testing.T) {
 		perShard, order := collectSharded(t, s, len(edges), workers)
 		checkShardedResult(t, edges, perShard, order, workers)
 	}
-	// Range access straight from offsets.
+	// Range access straight from the footer index.
 	sub, ok := bs.RangeStream(1234, 1300)
 	if !ok {
-		t.Fatal("BexStream range unavailable")
+		t.Fatal("Bex2Stream range unavailable")
 	}
 	rangeEdges, err := Collect(sub)
 	if err != nil {
@@ -220,7 +220,7 @@ func TestOpenAuto(t *testing.T) {
 	if err := WriteGraphFile(txt, graph.FromEdges(0, edges), ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WriteBexFile(bex, FromEdges(edges)); err != nil {
+	if _, err := WriteBex2File(bex, FromEdges(edges), 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range []string{txt, bex} {

@@ -16,8 +16,8 @@ import (
 	"degentri/internal/stream"
 )
 
-// faultTestFiles writes the edge list in every on-disk format: text, flat
-// .bex v1, block-indexed .bex v2, and a sharded .bexd directory (tiny blocks
+// faultTestFiles writes the edge list in every on-disk format: text,
+// block-indexed .bex v2, and a sharded .bexd directory (tiny blocks
 // and parts so even small graphs span several of each). The returned map is
 // keyed by backend name.
 func faultTestFiles(t *testing.T, edges []Edge) map[string]string {
@@ -45,9 +45,6 @@ func faultTestFiles(t *testing.T, edges []Edge) map[string]string {
 			t.Fatal(err)
 		}
 	}
-	bex1 := filepath.Join(dir, "g.v1.bex")
-	write("bex1", func(s stream.Stream) error { _, err := stream.WriteBexFile(bex1, s); return err })
-	paths["bex1"] = bex1
 	bex2 := filepath.Join(dir, "g.bex")
 	write("bex2", func(s stream.Stream) error { _, err := stream.WriteBex2File(bex2, s, 64); return err })
 	paths["bex2"] = bex2
@@ -61,8 +58,8 @@ func faultTestFiles(t *testing.T, edges []Edge) map[string]string {
 // seed-keyed schedule of transient faults (mid-read EIO, failing Resets),
 // healed by bounded retry, yields a Result with exactly the same Estimate,
 // Passes, Scans, and SpaceWords as the fault-free run — at every worker
-// count, over in-memory, text-file, .bex v1/v2 (buffered and mmap), and
-// sharded .bexd streams. Only Retries may differ.
+// count, over in-memory, text-file, .bex v2, and sharded .bexd streams.
+// Only Retries may differ.
 func TestFaultScheduleDoesNotChangeResult(t *testing.T) {
 	edges := ClusteredPreferentialAttachment(1500, 4, 0.5, 11)
 	paths := faultTestFiles(t, edges)
@@ -74,9 +71,8 @@ func TestFaultScheduleDoesNotChangeResult(t *testing.T) {
 		Kinds: []faultio.Kind{faultio.KindEIO, faultio.KindFailReset}}
 
 	type runner func(opts Options) (Result, error)
-	fileRunner := func(path string, mmap, cache bool) runner {
+	fileRunner := func(path string, cache bool) runner {
 		return func(opts Options) (Result, error) {
-			opts.PreferMmap = mmap
 			opts.DecodeCache = cache
 			return EstimateFile(path, opts)
 		}
@@ -90,14 +86,11 @@ func TestFaultScheduleDoesNotChangeResult(t *testing.T) {
 		run  runner
 	}{
 		{"memory", func(opts Options) (Result, error) { return Estimate(edges, opts) }},
-		{"text", fileRunner(paths["text"], false, false)},
-		{"bex1", fileRunner(paths["bex1"], false, false)},
-		{"bex2", fileRunner(paths["bex2"], false, false)},
-		{"bex2-mmap", fileRunner(paths["bex2"], true, false)},
-		{"bexd", fileRunner(paths["bexd"], false, false)},
-		{"bex2/cache", fileRunner(paths["bex2"], false, true)},
-		{"bex2-mmap/cache", fileRunner(paths["bex2"], true, true)},
-		{"bexd/cache", fileRunner(paths["bexd"], false, true)},
+		{"text", fileRunner(paths["text"], false)},
+		{"bex2", fileRunner(paths["bex2"], false)},
+		{"bexd", fileRunner(paths["bexd"], false)},
+		{"bex2/cache", fileRunner(paths["bex2"], true)},
+		{"bexd/cache", fileRunner(paths["bexd"], true)},
 	}
 
 	totalRetries := 0

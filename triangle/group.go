@@ -26,9 +26,6 @@ type GroupOptions struct {
 	// negative = disabled). Scans are shared, so the policy is group-wide;
 	// per-request Options.RetryAttempts is ignored.
 	RetryAttempts int
-	// PreferMmap serves .bex v2 files (and .bexd parts) through the
-	// mmap-backed reader; see Options.PreferMmap.
-	PreferMmap bool
 	// DecodeCache serves repeat block reads of .bex v2 files from the
 	// process-wide decoded-block cache; see Options.DecodeCache. A group is
 	// the cache's best customer: every request riding its shared scans
@@ -97,7 +94,7 @@ func OpenScanGroup(ctx context.Context, path string, gopts GroupOptions) (*ScanG
 		ctx = context.Background()
 	}
 	retry := retryPolicy(Options{RetryAttempts: gopts.RetryAttempts})
-	fs, err := stream.OpenAutoOpts(path, stream.OpenOptions{PreferMmap: gopts.PreferMmap, DecodeCache: gopts.DecodeCache})
+	fs, err := stream.OpenAutoOpts(path, stream.OpenOptions{DecodeCache: gopts.DecodeCache})
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +124,7 @@ func OpenScanGroup(ctx context.Context, path string, gopts GroupOptions) (*ScanG
 func (g *ScanGroup) Path() string { return g.path }
 
 // Backend returns the storage backend the group's stream is served from
-// ("text", "bex1", "bex2", "bex2-mmap", "bexd").
+// ("text", "bex2", "bexd").
 func (g *ScanGroup) Backend() string { return g.backend }
 
 // M returns the number of edges in the stream.

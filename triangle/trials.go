@@ -85,7 +85,7 @@ func EstimateFileTrialsCtx(ctx context.Context, path string, opts Options, trial
 	if trials < 1 {
 		return TrialsResult{}, fmt.Errorf("triangle: trials must be positive, got %d", trials)
 	}
-	fs, err := stream.OpenAutoOpts(path, stream.OpenOptions{PreferMmap: opts.PreferMmap, DecodeCache: opts.DecodeCache})
+	fs, err := stream.OpenAutoOpts(path, stream.OpenOptions{DecodeCache: opts.DecodeCache})
 	if err != nil {
 		return TrialsResult{}, err
 	}

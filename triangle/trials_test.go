@@ -21,11 +21,11 @@ func writeHolmeKimFile(t *testing.T, path string, n, k int) int64 {
 }
 
 // TestTrialsBitIdenticalAcrossBackends is the storage-refactor acceptance
-// pin at the trials layer: the same canonical stream served from text, flat
-// .bex v1, block-indexed .bex v2 (buffered and mmap), and a sharded .bexd
-// directory must produce identical per-trial estimates at every worker
-// count — the storage format is an I/O detail, never a semantic one. It also
-// pins that each run reports the backend it actually used.
+// pin at the trials layer: the same canonical stream served from text,
+// block-indexed .bex v2, and a sharded .bexd directory must produce
+// identical per-trial estimates at every worker count — the storage format
+// is an I/O detail, never a semantic one. It also pins that each run reports
+// the backend it actually used.
 func TestTrialsBitIdenticalAcrossBackends(t *testing.T) {
 	dir := t.TempDir()
 	txt := filepath.Join(dir, "g.txt")
@@ -41,28 +41,23 @@ func TestTrialsBitIdenticalAcrossBackends(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	bex1 := filepath.Join(dir, "g.v1.bex")
 	bex2 := filepath.Join(dir, "g.bex")
 	bexd := filepath.Join(dir, "g.bexd")
-	reEncode("bex1", func(s stream.Stream) (int, error) { return stream.WriteBexFile(bex1, s) })
 	reEncode("bex2", func(s stream.Stream) (int, error) { return stream.WriteBex2File(bex2, s, 128) })
 	reEncode("bexd", func(s stream.Stream) (int, error) { return stream.WriteBexd(bexd, s, 128, 1024) })
 
 	backends := []struct {
 		name string
 		path string
-		mmap bool
 	}{
-		{stream.BackendText, txt, false},
-		{stream.BackendBex1, bex1, false},
-		{stream.BackendBex2, bex2, false},
-		{stream.BackendBex2Mmap, bex2, true},
-		{stream.BackendBexd, bexd, false},
+		{stream.BackendText, txt},
+		{stream.BackendBex2, bex2},
+		{stream.BackendBexd, bexd},
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		var want []float64
 		for _, b := range backends {
-			opts := triangle.Options{Epsilon: 0.3, Seed: 11, Workers: workers, PreferMmap: b.mmap}
+			opts := triangle.Options{Epsilon: 0.3, Seed: 11, Workers: workers}
 			res, err := triangle.EstimateFileTrials(b.path, opts, 3)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", b.name, workers, err)

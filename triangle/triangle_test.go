@@ -1,10 +1,14 @@
 package triangle
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"degentri/internal/stream"
 )
 
 func TestExactAndDegeneracy(t *testing.T) {
@@ -237,5 +241,16 @@ func TestFileAPIErrors(t *testing.T) {
 	empty := writeEdgeFile(t, nil)
 	if _, err := EstimateFile(empty, Options{Degeneracy: 2}); err != ErrNoEdges {
 		t.Errorf("empty file should return ErrNoEdges, got %v", err)
+	}
+	// A retired .bex v1 file (a 16-byte "BEX1" header) is refused at open
+	// with the reader's diagnosis, never parsed as text.
+	v1 := filepath.Join(t.TempDir(), "old.bex")
+	if err := os.WriteFile(v1, append([]byte("BEX1"), make([]byte, 12)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, want := stream.OpenAuto(v1)
+	if _, err := EstimateFile(v1, Options{}); !errors.Is(err, stream.ErrCorruptHeader) ||
+		want == nil || err.Error() != want.Error() || !strings.Contains(err.Error(), "v1") {
+		t.Errorf("v1 file: EstimateFile error %v, want the OpenAuto diagnosis %v", err, want)
 	}
 }
