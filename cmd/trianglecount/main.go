@@ -93,7 +93,6 @@ func main() {
 		SampleMultiplier: *mult,
 		Workers:          *workers,
 		RetryAttempts:    *retries,
-		DecodeCache:      *dcache > 0,
 	}
 	if *inject != "" {
 		plan, err := faultio.ParsePlan(*inject)
@@ -132,7 +131,7 @@ func main() {
 		fmt.Println()
 		fmt.Printf("edges:               %d\n", res.Edges)
 		fmt.Printf("degeneracy bound:    %d (%s)\n", res.DegeneracyBound, kappaSource(res.DegeneracyApprox, *kappa))
-		fmt.Printf("backend:             %s\n", stream.DescribeBackend(res.Backend, opts.DecodeCache))
+		fmt.Printf("backend:             %s\n", stream.DescribeBackend(res.Backend))
 		fmt.Printf("cost:                passes=%d scans=%d retries=%d space=%d words\n", res.Passes, res.Scans, res.Retries, res.SpaceWords)
 		if res.Aborted {
 			fmt.Println("warning: at least one trial hit the space cutoff; the mean is unreliable")
@@ -148,7 +147,7 @@ func main() {
 		fmt.Printf("estimated triangles: %.1f\n", res.Estimate)
 		fmt.Printf("edges:               %d\n", res.Edges)
 		fmt.Printf("degeneracy bound:    %d (%s)\n", res.DegeneracyBound, kappaSource(res.DegeneracyApprox, *kappa))
-		fmt.Printf("backend:             %s\n", stream.DescribeBackend(res.Backend, opts.DecodeCache))
+		fmt.Printf("backend:             %s\n", stream.DescribeBackend(res.Backend))
 		fmt.Printf("cost:                passes=%d scans=%d retries=%d space=%d words\n", res.Passes, res.Scans, res.Retries, res.SpaceWords)
 		if res.Aborted {
 			fmt.Println("warning: run aborted at the space cutoff; the estimate is unreliable")

@@ -25,7 +25,7 @@ func TestGoldenEquivalenceAcrossWorkersAndBackends(t *testing.T) {
 	// in-memory goldens use, so every backend replays identical streams.
 	type backend struct {
 		name        string
-		open        func(cache bool) (stream.Stream, func(), error)
+		open        func() (stream.Stream, func(), error)
 		extraPasses int  // counting pass for sources of unknown length
 		v2          bool // has a block decode engine: run every decode mode
 	}
@@ -53,9 +53,9 @@ func TestGoldenEquivalenceAcrossWorkersAndBackends(t *testing.T) {
 			t.Fatal(err)
 		}
 		g, seed := w.g, w.streamSeed
-		openFile := func(path string) func(bool) (stream.Stream, func(), error) {
-			return func(cache bool) (stream.Stream, func(), error) {
-				src, err := stream.OpenAutoOpts(path, stream.OpenOptions{DecodeCache: cache})
+		openFile := func(path string) func() (stream.Stream, func(), error) {
+			return func() (stream.Stream, func(), error) {
+				src, err := stream.OpenAuto(path)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -63,7 +63,7 @@ func TestGoldenEquivalenceAcrossWorkersAndBackends(t *testing.T) {
 			}
 		}
 		backends[name] = []backend{
-			{"memory", func(bool) (stream.Stream, func(), error) {
+			{"memory", func() (stream.Stream, func(), error) {
 				return stream.FromGraphShuffled(g, seed), func() {}, nil
 			}, 0, false},
 			{"text", openFile(txt), 1, false},
@@ -73,24 +73,23 @@ func TestGoldenEquivalenceAcrossWorkersAndBackends(t *testing.T) {
 	}
 
 	// Decode modes: the v2-family backends additionally run under every
-	// {kernel} × {decoded-block cache} combination — all four must realize
-	// the golden values bit for bit (PR 10's decode engine is an I/O
-	// optimization, never an estimator change). Other backends have no block
-	// decoder and run the default mode once.
+	// {kernel} × {decoded-block cache budget: default, 0} combination — all
+	// four must realize the golden values bit for bit (the decode engine is
+	// an I/O optimization, never an estimator change). Other backends have
+	// no block decoder and run the default mode once.
 	type decodeMode struct {
-		name  string
-		simd  bool
-		cache bool
+		name   string
+		simd   bool
+		budget int64
 	}
-	defaultMode := decodeMode{"", stream.SIMDDecodeEnabled(), false}
+	defaultMode := decodeMode{"", stream.SIMDDecodeEnabled(), stream.DefaultDecodeCacheBytes}
 	v2Modes := []decodeMode{
 		defaultMode,
-		{"/scalar", false, false},
-		{"/cache", stream.SIMDDecodeEnabled(), true},
-		{"/scalar+cache", false, true},
+		{"/scalar", false, stream.DefaultDecodeCacheBytes},
+		{"/nocache", stream.SIMDDecodeEnabled(), 0},
+		{"/scalar+nocache", false, 0},
 	}
 	defer stream.SetSIMDDecode(true)
-	defer stream.SetDecodeCacheBudget(stream.DefaultDecodeCacheBytes)
 
 	for _, gc := range goldenCases {
 		w := graphs[gc.workload]
@@ -107,7 +106,8 @@ func TestGoldenEquivalenceAcrossWorkersAndBackends(t *testing.T) {
 				}
 				for _, mode := range modes {
 					stream.SetSIMDDecode(mode.simd)
-					src, closeSrc, err := b.open(mode.cache)
+					setDecodeCacheBudget(t, mode.budget)
+					src, closeSrc, err := b.open()
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -143,4 +143,12 @@ func TestGoldenEquivalenceAcrossWorkersAndBackends(t *testing.T) {
 			}
 		}
 	}
+}
+
+// setDecodeCacheBudget sets the process-wide decoded-block cache budget and
+// restores the default when the test ends.
+func setDecodeCacheBudget(t *testing.T, bytes int64) {
+	t.Helper()
+	stream.SetDecodeCacheBudget(bytes)
+	t.Cleanup(func() { stream.SetDecodeCacheBudget(stream.DefaultDecodeCacheBytes) })
 }

@@ -335,9 +335,10 @@ type BackendBench struct {
 
 // benchBackends stats the workload's cached .bex v2 file and times a
 // cold-open full scan of it, keeping the median of nine rounds. Every round
-// opens the file fresh, so each one pays the reader's true first-scan cost
-// (block CRCs are re-verified); the median damps the scheduling noise a
-// sub-millisecond sample picks up on a shared core.
+// opens the file fresh with the decoded-block cache disabled, so each one
+// pays the reader's true first-scan cost (every block is decoded and its CRC
+// re-verified); the median damps the scheduling noise a sub-millisecond
+// sample picks up on a shared core.
 func benchBackends(w Workload) (BackendBench, error) {
 	var bk BackendBench
 	st, err := os.Stat(w.Path)
@@ -346,6 +347,8 @@ func benchBackends(w Workload) (BackendBench, error) {
 	}
 	bk.Bytes2 = st.Size()
 
+	stream.SetDecodeCacheBudget(0)
+	defer stream.SetDecodeCacheBudget(stream.DefaultDecodeCacheBytes)
 	const rounds = 9
 	rates := make([]float64, 0, rounds)
 	for r := 0; r < rounds; r++ {

@@ -83,7 +83,6 @@ func (e *graphEntry) acquire(ctx context.Context) (*triangle.ScanGroup, func(), 
 		g, err := triangle.OpenScanGroup(gctx, e.path, triangle.GroupOptions{
 			Workers:       e.srv.cfg.Workers,
 			RetryAttempts: e.srv.cfg.RetryAttempts,
-			DecodeCache:   e.srv.cfg.decodeCacheEnabled(),
 		})
 
 		e.mu.Lock()
@@ -178,7 +177,7 @@ func (e *graphEntry) snapshot() graphStatus {
 		st.State = "ready"
 		// Status and /metrics show the decorated backend ("bex2/ssse3+cache")
 		// so operators can see the active decode engine at a glance.
-		st.Backend = stream.DescribeBackend(r.g.Backend(), e.srv.cfg.decodeCacheEnabled())
+		st.Backend = stream.DescribeBackend(r.g.Backend())
 		st.Edges = r.g.M()
 		st.Scans = r.g.Scans()
 		st.Carried = r.g.Carried()

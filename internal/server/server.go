@@ -119,10 +119,6 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// decodeCacheEnabled reports whether graphs are served with the
-// decoded-block cache (after fillDefaults, negative means disabled).
-func (c *Config) decodeCacheEnabled() bool { return c.DecodeCacheBytes > 0 }
-
 // Server is the daemon. Create with New, mount Handler on an http.Server,
 // and call Drain on SIGTERM.
 type Server struct {

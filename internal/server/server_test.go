@@ -469,7 +469,7 @@ func TestDecodeEngineSurface(t *testing.T) {
 
 	var graphs []graphStatus
 	get(t, ts.Client(), ts.URL+"/graphs", &graphs)
-	want := stream.DescribeBackend(stream.BackendBex2, true)
+	want := stream.BackendBex2 + "/" + stream.DecodeKernelName() + "+cache"
 	if graphs[0].Backend != want {
 		t.Errorf("backend = %q, want %q", graphs[0].Backend, want)
 	}
@@ -493,22 +493,21 @@ func TestDecodeEngineSurface(t *testing.T) {
 	}
 
 	// Cache off: the decoration drops the suffix and the config round-trips
-	// through the negative-means-disabled convention.
+	// through the negative-means-disabled convention. The budget is
+	// process-wide, so the default is restored when the test ends.
+	t.Cleanup(func() { stream.SetDecodeCacheBudget(stream.DefaultDecodeCacheBytes) })
 	s2, err := New(Config{Graphs: map[string]string{"g": path}, DecodeCacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		s2.Close()
-		stream.SetDecodeCacheBudget(stream.DefaultDecodeCacheBytes)
-	}()
+	defer s2.Close()
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 	if code := get(t, ts2.Client(), ts2.URL+"/estimate?graph=g&seed=3", &first); code != http.StatusOK {
 		t.Fatalf("uncached estimate: status %d", code)
 	}
 	get(t, ts2.Client(), ts2.URL+"/graphs", &graphs)
-	if want := stream.DescribeBackend(stream.BackendBex2, false); graphs[0].Backend != want {
+	if want := stream.BackendBex2 + "/" + stream.DecodeKernelName(); graphs[0].Backend != want {
 		t.Errorf("uncached backend = %q, want %q", graphs[0].Backend, want)
 	}
 }

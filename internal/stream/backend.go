@@ -29,15 +29,16 @@ func BackendOf(s Stream) string {
 
 // DescribeBackend decorates a backend name with the active decode engine for
 // display ("bex2/ssse3+cache", "bexd/scalar", ...). Only the v2 family has a
-// decode engine to report; other backends pass through unchanged. This is a
+// decode engine to report; other backends pass through unchanged. "+cache"
+// marks an enabled decoded-block cache (a budget above zero). This is a
 // presentation helper for status lines — stored results keep the plain
-// backend name, which stays identical across kernels and cache modes because
-// the decoded edges do.
-func DescribeBackend(backend string, cache bool) string {
+// backend name, which stays identical across kernels and cache budgets
+// because the decoded edges do.
+func DescribeBackend(backend string) string {
 	switch backend {
 	case BackendBex2, BackendBexd:
 		d := backend + "/" + DecodeKernelName()
-		if cache {
+		if decodeCache.admits(0) { // enabled: it admits an empty stream
 			d += "+cache"
 		}
 		return d

@@ -220,8 +220,9 @@ func BenchmarkShardedPassWorkers4(b *testing.B) { benchmarkShardedPass(b, 4) }
 
 // benchmarkBex2Decode measures a full pass over a v2 file written with
 // 8K-edge blocks (the tentpole's reference block size) under one decode
-// mode: scalar kernel, vectorized kernel, or cache hits (vectorized decode
-// once, then every pass served from the decoded-block cache).
+// mode: scalar kernel, vectorized kernel (both with the cache budget at 0),
+// or cache hits (vectorized decode once, then every pass served from the
+// decoded-block cache).
 func benchmarkBex2Decode(b *testing.B, simd, cache bool) {
 	b.Helper()
 	edges := benchEdges(1 << 17) // 16 blocks of 8192 edges
@@ -232,8 +233,12 @@ func benchmarkBex2Decode(b *testing.B, simd, cache bool) {
 	defer SetSIMDDecode(true)
 	defer SetDecodeCacheBudget(DefaultDecodeCacheBytes)
 	SetSIMDDecode(simd)
-	SetDecodeCacheBudget(DefaultDecodeCacheBytes)
-	bs, err := OpenAutoOpts(path, OpenOptions{DecodeCache: cache})
+	if cache {
+		SetDecodeCacheBudget(DefaultDecodeCacheBytes)
+	} else {
+		SetDecodeCacheBudget(0)
+	}
+	bs, err := OpenAuto(path)
 	if err != nil {
 		b.Fatal(err)
 	}

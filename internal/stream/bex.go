@@ -28,26 +28,12 @@ type FileBacked interface {
 // else the text parser. Dispatch is by content first and extension second,
 // so a v2 file opens correctly whatever it is named. A retired v1 file
 // ("BEX1" magic) is refused with ErrCorruptHeader. The text path defers
-// errors to the first Reset, matching OpenFile.
+// errors to the first Reset, matching OpenFile. The v2 readers serve repeat
+// block reads from the decoded-block cache (see SetDecodeCacheBudget).
 func OpenAuto(path string) (FileBacked, error) {
-	return OpenAutoOpts(path, OpenOptions{})
-}
-
-// OpenOptions configure how OpenAutoOpts serves a file. The zero value is
-// OpenAuto's behavior: no decoded-block cache.
-type OpenOptions struct {
-	// DecodeCache lets the v2-family readers serve repeat block reads from
-	// the process-wide decoded-block cache (see SetDecodeCacheBudget):
-	// multi-pass scans of the same file skip decode entirely after the
-	// first pass. Results are bit-identical with the cache on or off.
-	DecodeCache bool
-}
-
-// OpenAutoOpts is OpenAuto with explicit reader options.
-func OpenAutoOpts(path string, o OpenOptions) (FileBacked, error) {
 	lower := strings.ToLower(path)
 	if info, err := os.Stat(path); (err == nil && info.IsDir()) || strings.HasSuffix(lower, BexdExt) {
-		return fileBacked(openBexd(path, o.DecodeCache))
+		return fileBacked(OpenBexd(path))
 	}
 	switch magic := sniffMagic(path); {
 	case magic == bex1Magic:
@@ -57,10 +43,21 @@ func OpenAutoOpts(path string, o OpenOptions) (FileBacked, error) {
 		// The .bex extension with an unrecognized magic goes to the v2
 		// reader too, so it reports the corrupt-header diagnosis instead
 		// of the text parser reading binary as edges.
-		return fileBacked(openBex2Cache(path, o.DecodeCache))
+		return fileBacked(OpenBex2(path))
 	}
 	return OpenFile(path), nil
 }
+
+// OpenOptions has no fields: the process budget (SetDecodeCacheBudget) is
+// the decoded-block cache's only setting.
+//
+// Deprecated: use OpenAuto.
+type OpenOptions struct{}
+
+// OpenAutoOpts is OpenAuto.
+//
+// Deprecated: use OpenAuto.
+func OpenAutoOpts(path string, _ OpenOptions) (FileBacked, error) { return OpenAuto(path) }
 
 // fileBacked converts a concrete reader and its open error to OpenAutoOpts'
 // result without wrapping a nil pointer in a non-nil interface.

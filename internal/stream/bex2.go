@@ -147,13 +147,15 @@ type bex2Meta struct {
 	m          int
 	blockEdges int
 	blocks     []bex2Block
-	// ident is the file's stat identity at open (path, size, mtime) — the
-	// same key shape the text path's index cache uses — and keys this file's
-	// blocks in the decoded-block cache. A rewritten file gets a new
-	// identity, so its old decoded blocks become unreachable rather than
-	// stale. identOK guards the degenerate case of an unstattable source.
-	ident   fileIndexKey
-	identOK bool
+	// ident is the file's stat identity at open (path, size, mtime); with
+	// each block's ordinal and CRC it keys the file's blocks in the
+	// decoded-block cache, so a rewritten file's old decoded blocks become
+	// unreachable rather than stale.
+	ident fileIdent
+	// decodedBytes is the decoded size of the whole stream this file serves
+	// (16·m, summed over the parts of a .bexd): the size the decoded-block
+	// cache admits or bypasses.
+	decodedBytes int64
 	// verified[k] records that block k's payload CRC has been checked since
 	// open. A block is verified the first time any cursor reads it and never
 	// re-hashed on later passes — multi-pass algorithms (the whole point of
@@ -468,9 +470,9 @@ func readBex2Meta(file *os.File, path string) (*bex2Meta, error) {
 	}
 	return &bex2Meta{
 		path: path, m: m, blockEdges: blockEdges, blocks: blocks,
-		ident:    fileIndexKey{path: path, size: size, mtime: info.ModTime().UnixNano()},
-		identOK:  true,
-		verified: make([]atomic.Bool, blockCount),
+		ident:        fileIdent{path: path, size: size, mtime: info.ModTime().UnixNano()},
+		decodedBytes: int64(m) * 16,
+		verified:     make([]atomic.Bool, blockCount),
 	}, nil
 }
 
@@ -672,11 +674,6 @@ type bex2Cursor struct {
 	decoded []graph.Edge
 	served  int // decoded[:served] already delivered
 	active  bool
-	// cache opts this cursor into the process-wide decoded-block cache:
-	// loads first look the block up by (file identity, ordinal) and serve
-	// hits zero-copy; misses decode into a fresh slice and insert it. Off,
-	// every load decodes into the cursor-owned scratch buffer.
-	cache   bool
 	cached  *blockCacheEntry // pinned entry decoded aliases, nil when none
 	scratch []graph.Edge     // owned decode buffer for uncached loads
 }
@@ -708,17 +705,20 @@ func (c *bex2Cursor) reset() error {
 }
 
 // load decodes (or cache-fetches) the block containing c.pos and positions
-// served at it. The cursor slices the decoded block by stream position the
+// served at it. While the decoded-block cache admits the stream, loads first
+// look the block up and serve hits zero-copy; misses decode into a fresh
+// slice and insert it. Otherwise every load decodes into the cursor-owned
+// scratch buffer. The cursor slices the decoded block by stream position the
 // same way regardless of where the edges came from, so batch and shard
 // boundaries — and downstream results at any worker count — are identical
 // with the cache on or off.
 func (c *bex2Cursor) load() error {
 	k := c.meta.findBlock(c.pos)
 	b := c.meta.blocks[k]
-	useCache := c.cache && c.meta.identOK
+	useCache := decodeCache.admits(c.meta.decodedBytes)
 	var key blockCacheKey
 	if useCache {
-		key = blockCacheKey{file: c.meta.ident, blk: k}
+		key = blockCacheKey{file: c.meta.ident, blk: k, crc: b.crc}
 		if ent, ok := decodeCache.get(key); ok {
 			c.unpin()
 			c.cached = ent
@@ -844,10 +844,6 @@ type Bex2Stream struct {
 // count that disagrees with the file size, or a footer checksum mismatch
 // all fail here rather than mid-pass.
 func OpenBex2(path string) (*Bex2Stream, error) {
-	return openBex2Cache(path, false)
-}
-
-func openBex2Cache(path string, cache bool) (*Bex2Stream, error) {
 	file, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("stream: open %s: %w", path, err)
@@ -857,16 +853,11 @@ func openBex2Cache(path string, cache bool) (*Bex2Stream, error) {
 		file.Close()
 		return nil, err
 	}
-	return newBex2Stream(meta, file, cache), nil
-}
-
-func newBex2Stream(meta *bex2Meta, file *os.File, cache bool) *Bex2Stream {
 	return &Bex2Stream{cur: bex2Cursor{
 		meta: meta,
 		src:  &bex2FileSource{meta: meta, file: file},
 		lo:   0, hi: meta.m,
-		cache: cache,
-	}}
+	}}, nil
 }
 
 // Reset implements Stream.
@@ -896,7 +887,6 @@ func (b *Bex2Stream) RangeStream(lo, hi int) (Stream, bool) {
 		meta: meta,
 		src:  &bex2FileSource{meta: meta},
 		lo:   lo, hi: hi,
-		cache: b.cur.cache,
 	}}, true
 }
 

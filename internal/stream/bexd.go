@@ -207,7 +207,6 @@ type MultiBexStream struct {
 	dir   string
 	man   *BexdManifest
 	metas []*bex2Meta
-	cache bool // part cursors use the decoded-block cache
 
 	subs   []Stream // one cursor-backed stream per part, reset lazily
 	idx    int
@@ -221,15 +220,11 @@ type MultiBexStream struct {
 // not re-hashed here — that is VerifyBexd, the integrity deep check — but
 // every block read still verifies its own CRC.
 func OpenBexd(dir string) (*MultiBexStream, error) {
-	return openBexd(dir, false)
-}
-
-func openBexd(dir string, cache bool) (*MultiBexStream, error) {
 	man, err := ReadBexdManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	ms := &MultiBexStream{dir: dir, man: man, metas: make([]*bex2Meta, len(man.Parts)), cache: cache}
+	ms := &MultiBexStream{dir: dir, man: man, metas: make([]*bex2Meta, len(man.Parts))}
 	for i, p := range man.Parts {
 		path := filepath.Join(dir, p.File)
 		file, err := os.Open(path)
@@ -247,8 +242,11 @@ func openBexd(dir string, cache bool) (*MultiBexStream, error) {
 		}
 		ms.metas[i] = meta
 	}
+	// The decoded-block cache admits or bypasses the directory as a whole,
+	// so every part carries the whole stream's decoded size.
 	ms.subs = make([]Stream, len(ms.metas))
 	for i := range ms.metas {
+		ms.metas[i].decodedBytes = int64(man.Edges) * 16
 		ms.subs[i] = ms.partStream(i, 0, ms.metas[i].m)
 	}
 	return ms, nil
@@ -257,7 +255,7 @@ func openBexd(dir string, cache bool) (*MultiBexStream, error) {
 // partStream builds a cursor over positions [lo, hi) of part i.
 func (ms *MultiBexStream) partStream(i, lo, hi int) Stream {
 	meta := ms.metas[i]
-	return &bex2Range{cur: bex2Cursor{meta: meta, src: &bex2FileSource{meta: meta}, lo: lo, hi: hi, cache: ms.cache}}
+	return &bex2Range{cur: bex2Cursor{meta: meta, src: &bex2FileSource{meta: meta}, lo: lo, hi: hi}}
 }
 
 // Reset implements Stream.

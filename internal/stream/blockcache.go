@@ -13,15 +13,25 @@ import (
 // (and fused trials multiply that), so after the first pass the dominant
 // cost of a v2 scan is re-decoding bytes that were already decoded moments
 // ago. The cache keeps fully decoded blocks — []graph.Edge, the exact slices
-// the cursor serves — keyed by (file stat identity, block ordinal), so the
-// 2nd..Nth logical pass hands out pre-decoded batches zero-copy.
+// the cursor serves — keyed by (file stat identity, block ordinal, block
+// CRC), so the 2nd..Nth logical pass hands out pre-decoded batches
+// zero-copy.
 //
-// Coherence rules, in order of subtlety:
+// It is the only decode policy: every .bex v2 and .bexd open uses it while
+// the process budget is above zero (SetDecodeCacheBudget; 0 or negative
+// disables it). Coherence rules, in order of subtlety:
 //
 //   - Generation invalidation is structural: the key embeds the file's
-//     (path, size, mtime) identity captured at open — the same identity the
-//     text path's index cache uses — so a rewritten file's blocks simply
-//     miss and the stale generation ages out of the LRU.
+//     (path, size, mtime) identity captured at open plus the footer record's
+//     CRC of the block, so a rewritten file's blocks miss — even when the
+//     rewrite kept the size and restored the mtime, since a hit never reads
+//     the file and so never re-checks the CRC — and the stale generation
+//     ages out of the LRU.
+//   - Size admission: a stream whose decoded size (16·m bytes, summed over
+//     the parts of a .bexd) exceeds the budget bypasses the cache and decodes
+//     into its cursor's scratch buffer. An LRU smaller than a cyclic scan
+//     always misses, so admitting such a stream would only churn the cache
+//     and allocate a fresh slice per block.
 //   - Shard-boundary preservation: the cache stores whole decoded blocks and
 //     the cursor slices them by stream position exactly as it slices its own
 //     decode buffer, so batch and shard boundaries — and therefore results
@@ -34,10 +44,9 @@ import (
 //     the pinned working set, bounded by cursors × block size), which keeps
 //     zero-copy serving safe from cache pressure without copying on hit.
 //
-// The cache is process-wide and byte-budgeted; DefaultDecodeCacheBytes is
-// the default budget and SetDecodeCacheBudget the knob (0 disables). It only
-// serves cursors opened with OpenOptions.DecodeCache — plain opens decode
-// every block, so single-shot tools pay no cache bookkeeping.
+// Resident bytes are bounded by the budget (plus that pinned overshoot) and
+// are process memory, not estimator state: they are not charged to any
+// run's SpaceWords.
 
 // DefaultDecodeCacheBytes is the default budget of the decoded-block cache:
 // 64 MiB holds ~4M decoded edges, several corpus graphs' full working sets,
@@ -45,10 +54,11 @@ import (
 const DefaultDecodeCacheBytes = 64 << 20
 
 // blockCacheKey identifies one decoded block: the file's stat identity at
-// open plus the block ordinal within the file.
+// open, the block ordinal within the file, and the block's footer CRC.
 type blockCacheKey struct {
-	file fileIndexKey
+	file fileIdent
 	blk  int
+	crc  uint32
 }
 
 // blockCacheEntry is one immutable decoded block. refs counts the cursors
@@ -86,8 +96,16 @@ func newBlockCache(budget int64) *blockCache {
 	return c
 }
 
+// admits reports whether a stream of the given decoded size may use the
+// cache: the cache is enabled and the whole stream fits in its budget.
+func (c *blockCache) admits(bytes int64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.budget > 0 && bytes <= c.budget
+}
+
 // get returns the cached entry for key, pinned (the caller owes a release),
-// and counts a hit or miss. A disabled cache (budget <= 0) always misses.
+// and counts a hit or miss.
 func (c *blockCache) get(key blockCacheKey) (*blockCacheEntry, bool) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
@@ -127,11 +145,8 @@ func (c *blockCache) put(key blockCacheKey, edges []graph.Edge) *blockCacheEntry
 	return e
 }
 
-// release drops one pin on e (nil is allowed for the disabled-cache path).
+// release drops one pin on e.
 func (c *blockCache) release(e *blockCacheEntry) {
-	if e == nil {
-		return
-	}
 	c.mu.Lock()
 	e.refs--
 	c.mu.Unlock()
@@ -195,8 +210,9 @@ func (c *blockCache) stats() DecodeCacheStats {
 var decodeCache = newBlockCache(DefaultDecodeCacheBytes)
 
 // SetDecodeCacheBudget sets the decoded-block cache's byte budget for the
-// process (0 or negative disables caching and drops resident entries).
-// Streams opt in per open via OpenOptions.DecodeCache.
+// process (0 or negative disables caching and drops resident entries). It
+// is the cache's only setting: every .bex v2 and .bexd stream whose decoded
+// size fits the budget reads through the cache.
 func SetDecodeCacheBudget(bytes int64) { decodeCache.setBudget(bytes) }
 
 // ReadDecodeCacheStats snapshots the decoded-block cache counters (exported

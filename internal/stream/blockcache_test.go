@@ -9,9 +9,10 @@ import (
 	"degentri/internal/graph"
 )
 
-// resetDecodeEngine pins the process-wide decode knobs for one test and
-// restores the defaults afterwards. The cache counters are lifetime-global,
-// so tests measure deltas via statsDelta rather than absolutes.
+// resetDecodeEngine sets the decoded-block cache budget (the cache's only
+// setting) for one test and restores the default budget and kernel
+// afterwards. The cache counters are lifetime-global, so tests measure
+// deltas via statsDelta rather than absolutes.
 func resetDecodeEngine(t *testing.T, budget int64) {
 	t.Helper()
 	SetDecodeCacheBudget(budget)
@@ -35,8 +36,8 @@ func statsDelta(fn func()) DecodeCacheStats {
 	}
 }
 
-// cacheOpeners enumerates the v2-family backends through the public
-// cache-aware entry point.
+// cacheOpeners enumerates the v2-family backends, which all read through
+// the decoded-block cache.
 var cacheOpeners = []struct {
 	name  string
 	write func(t *testing.T, dir string, edges []graph.Edge) string
@@ -64,9 +65,9 @@ func writeBexdDir(t *testing.T, dir string, edges []graph.Edge) string {
 }
 
 // TestDecodeCacheServesRepeatScans pins the cache's reason to exist: the
-// second pass over a cache-enabled stream is served from decoded blocks
-// (hits, no new misses) and returns bit-identical edges. A stream opened
-// without DecodeCache never touches the cache at all.
+// second pass over a v2-family stream is served from decoded blocks (hits,
+// no new misses) and returns bit-identical edges. With a zero budget a
+// stream never touches the cache at all.
 func TestDecodeCacheServesRepeatScans(t *testing.T) {
 	edges := bex2TestEdges(1000)
 	for _, tc := range cacheOpeners {
@@ -74,7 +75,7 @@ func TestDecodeCacheServesRepeatScans(t *testing.T) {
 			resetDecodeEngine(t, DefaultDecodeCacheBytes)
 			path := tc.write(t, t.TempDir(), edges)
 
-			s, err := OpenAutoOpts(path, OpenOptions{DecodeCache: true})
+			s, err := OpenAuto(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +94,7 @@ func TestDecodeCacheServesRepeatScans(t *testing.T) {
 			}
 
 			// A second reader of the same file shares the decoded blocks.
-			s2, err := OpenAutoOpts(path, OpenOptions{DecodeCache: true})
+			s2, err := OpenAuto(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,8 +104,9 @@ func TestDecodeCacheServesRepeatScans(t *testing.T) {
 				t.Fatalf("second reader not served from cache: %+v", shared)
 			}
 
-			// Plain opens bypass the cache entirely: no hits, no misses.
-			plain, err := OpenAutoOpts(path, OpenOptions{})
+			// A zero budget bypasses the cache entirely: no hits, no misses.
+			SetDecodeCacheBudget(0)
+			plain, err := OpenAuto(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,28 +119,72 @@ func TestDecodeCacheServesRepeatScans(t *testing.T) {
 	}
 }
 
-// TestDecodeCacheBudgetEviction pins the byte budget: a cache smaller than
-// the file's decoded size evicts down to the budget once pins drop, and the
-// stream still returns exact edges while thrashing.
+// TestDecodeCacheBudgetEviction pins the byte budget: two streams that each
+// fit the budget but not together evict each other's blocks, residency stays
+// within the budget once pins drop, and both still return exact edges.
 func TestDecodeCacheBudgetEviction(t *testing.T) {
-	edges := bex2TestEdges(2000) // 32000 decoded bytes across 64-edge blocks
-	resetDecodeEngine(t, 4096)   // room for four 64-edge blocks
-	path := writeV2File(t, t.TempDir(), edges)
+	edges := bex2TestEdges(600) // 9600 decoded bytes per file
+	resetDecodeEngine(t, 12000) // room for one file, not two
+	a := writeV2File(t, t.TempDir(), edges)
+	b := writeV2File(t, t.TempDir(), edges)
 
-	s, err := OpenAutoOpts(path, OpenOptions{DecodeCache: true})
-	if err != nil {
-		t.Fatal(err)
+	d := statsDelta(func() {
+		for _, path := range []string{a, b, a} {
+			s, err := OpenAuto(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameEdges(t, collectAll(t, s), edges, "alternating pass")
+			s.Close()
+		}
+	})
+	if d.Evictions == 0 {
+		t.Fatalf("no evictions under a %d-byte budget: %+v", 12000, d)
 	}
-	defer s.Close()
-	for pass := 0; pass < 2; pass++ {
-		sameEdges(t, collectAll(t, s), edges, "thrashing pass")
+	if d.Bytes > 12000 {
+		t.Fatalf("residency %d bytes exceeds budget with no pins held: %+v", d.Bytes, d)
 	}
-	st := ReadDecodeCacheStats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions under a %d-byte budget: %+v", 4096, st)
-	}
-	if st.Bytes > 4096 {
-		t.Fatalf("residency %d bytes exceeds budget with no pins held: %+v", st.Bytes, st)
+}
+
+// TestDecodeCacheBypassesOversizedStream pins size admission: a stream
+// whose decoded size (summed over .bexd parts) exceeds the budget would only
+// miss under a cyclic scan, so it decodes into its cursor's scratch buffer
+// instead — exact edges on every scan, no inserts, no evictions. A stream
+// that fits the same budget gets hits on its second scan.
+func TestDecodeCacheBypassesOversizedStream(t *testing.T) {
+	const budget = 8000 // a 300-edge .bexd part (4800 B) fits; 2000 edges do not
+	edges := bex2TestEdges(2000)
+	for _, tc := range cacheOpeners {
+		t.Run(tc.name, func(t *testing.T) {
+			resetDecodeEngine(t, budget)
+			path := tc.write(t, t.TempDir(), edges)
+			s, err := OpenAuto(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			before := ReadDecodeCacheStats()
+			d := statsDelta(func() {
+				for pass := 0; pass < 2; pass++ {
+					sameEdges(t, collectAll(t, s), edges, "oversized pass")
+				}
+			})
+			if d.Hits != 0 || d.Misses != 0 || d.Evictions != 0 || d.Entries != before.Entries {
+				t.Fatalf("oversized stream used the cache: %+v (before %+v)", d, before)
+			}
+
+			small := edges[:400] // 6400 B: fits
+			fits, err := OpenAuto(tc.write(t, t.TempDir(), small))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fits.Close()
+			sameEdges(t, collectAll(t, fits), small, "cold pass")
+			warm := statsDelta(func() { sameEdges(t, collectAll(t, fits), small, "warm pass") })
+			if warm.Hits == 0 || warm.Misses != 0 {
+				t.Fatalf("stream within budget not served from cache: %+v", warm)
+			}
+		})
 	}
 }
 
@@ -149,7 +195,7 @@ func TestDecodeCacheDisabled(t *testing.T) {
 	resetDecodeEngine(t, 0)
 	path := writeV2File(t, t.TempDir(), edges)
 
-	s, err := OpenAutoOpts(path, OpenOptions{DecodeCache: true})
+	s, err := OpenAuto(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +217,7 @@ func TestDecodeCacheInvalidatedByRewrite(t *testing.T) {
 	old := bex2TestEdges(600)
 	path := writeV2File(t, dir, old)
 
-	s, err := OpenAutoOpts(path, OpenOptions{DecodeCache: true})
+	s, err := OpenAuto(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +228,7 @@ func TestDecodeCacheInvalidatedByRewrite(t *testing.T) {
 	next := bex2TestEdges(900)
 	writeV2File(t, dir, next)
 
-	s2, err := OpenAutoOpts(path, OpenOptions{DecodeCache: true})
+	s2, err := OpenAuto(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +237,43 @@ func TestDecodeCacheInvalidatedByRewrite(t *testing.T) {
 	if d.Misses == 0 {
 		t.Fatalf("rewritten file served from the stale generation: %+v", d)
 	}
+}
+
+// TestDecodeCacheStaleRewriteSameSizeAndMtime pins the block CRC in the
+// cache key: a rewrite that keeps the byte size and restores the old mtime
+// has the same stat identity, and a hit never reads the file, so only the
+// footer CRC tells the generations apart.
+func TestDecodeCacheStaleRewriteSameSizeAndMtime(t *testing.T) {
+	resetDecodeEngine(t, DefaultDecodeCacheBytes)
+	dir := t.TempDir()
+	old := []graph.Edge{{U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 1}}
+	path := writeV2File(t, dir, old)
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenAuto(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameEdges(t, collectAll(t, s), old, "first generation")
+	s.Close()
+
+	next := []graph.Edge{{U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}}
+	writeV2File(t, dir, next)
+	if err := os.Chtimes(path, info.ModTime(), info.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := os.Stat(path); err != nil || again.Size() != info.Size() || !again.ModTime().Equal(info.ModTime()) {
+		t.Fatalf("rewrite changed the stat identity (%v, %v); the test needs it unchanged", again, err)
+	}
+
+	s2, err := OpenAuto(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	sameEdges(t, collectAll(t, s2), next, "rewritten generation")
 }
 
 // TestDecodeCachePreservesShardBoundaries pins the subtlest coherence rule:
@@ -202,7 +285,7 @@ func TestDecodeCachePreservesShardBoundaries(t *testing.T) {
 	resetDecodeEngine(t, DefaultDecodeCacheBytes)
 	path := writeV2File(t, t.TempDir(), edges)
 
-	s, err := OpenAutoOpts(path, OpenOptions{DecodeCache: true})
+	s, err := OpenAuto(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +313,7 @@ func TestDecodeCachePreservesShardBoundaries(t *testing.T) {
 
 // TestBex2SIMDScalarStreamEquivalence pins the kernels against each other at
 // the stream level: every v2-family backend returns bit-identical edges with
-// the vectorized decoder on and off, cache on and off.
+// the vectorized decoder on and off, cache budget default and 0.
 func TestBex2SIMDScalarStreamEquivalence(t *testing.T) {
 	if !SIMDDecodeEnabled() {
 		t.Skip("no vectorized kernel on this architecture")
@@ -240,10 +323,11 @@ func TestBex2SIMDScalarStreamEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			resetDecodeEngine(t, DefaultDecodeCacheBytes)
 			path := tc.write(t, t.TempDir(), edges)
-			for _, cache := range []bool{false, true} {
+			for _, budget := range []int64{0, DefaultDecodeCacheBytes} {
+				SetDecodeCacheBudget(budget)
 				for _, simd := range []bool{true, false} {
 					SetSIMDDecode(simd)
-					s, err := OpenAutoOpts(path, OpenOptions{DecodeCache: cache})
+					s, err := OpenAuto(path)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -258,8 +342,7 @@ func TestBex2SIMDScalarStreamEquivalence(t *testing.T) {
 // TestBex2CachedReadsStillVerifyCRCs pins the cached read path against
 // silent corruption: CRCs are verified lazily per block on first touch, so a
 // bit flip inside a block payload surfaces as ErrCorruptBlock on the read —
-// with the cache enabled — and the damaged block is never inserted into the
-// cache.
+// through the cache — and the damaged block is never inserted into it.
 func TestBex2CachedReadsStillVerifyCRCs(t *testing.T) {
 	edges := bex2TestEdges(1000)
 	resetDecodeEngine(t, DefaultDecodeCacheBytes)
@@ -280,7 +363,7 @@ func TestBex2CachedReadsStillVerifyCRCs(t *testing.T) {
 		return b
 	})
 
-	s, err := OpenAutoOpts(path, OpenOptions{DecodeCache: true})
+	s, err := OpenAuto(path)
 	if err != nil {
 		t.Fatalf("block corruption must not fail at open: %v", err)
 	}
@@ -315,7 +398,6 @@ func TestDecodeCachePinnedEntriesSurviveEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.cur.cache = true
 	if err := s.Reset(); err != nil {
 		t.Fatal(err)
 	}

@@ -50,13 +50,28 @@ func (c *cappedHandle) Seek(offset int64, whence int) (int64, error) {
 
 func (c *cappedHandle) Close() error { return c.f.Close() }
 
-// TestShortReadDoesNotPoisonIndexCache pins the cache-publication guard: a
-// pass whose reader silently drops the file's tail (clean EOF at a line
-// boundary — the parser cannot tell) must fail with a transient truncation
-// error and must NOT publish its partial position→offset index under the
-// file's cache key, or every later open of the healthy file would shard it
-// through wrong offsets.
-func TestShortReadDoesNotPoisonIndexCache(t *testing.T) {
+func writeEdgeFileAt(t *testing.T, path string, edges []graph.Edge) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range edges {
+		fmt.Fprintf(f, "%d %d\n", e.U, e.V)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShortReadDoesNotPoisonStreamIndex pins the short-read guard: a pass
+// whose reader silently drops the file's tail (clean EOF at a line boundary
+// — the parser cannot tell) must fail with a transient truncation error and
+// must NOT record its edge count or its partial position→offset index, or
+// later sharded passes of the stream would seek through wrong offsets. Once
+// the reader heals, the same stream's next pass sees every edge and builds
+// a correct index.
+func TestShortReadDoesNotPoisonStreamIndex(t *testing.T) {
 	edges := make([]graph.Edge, 2*fileIndexGranularity+5)
 	for i := range edges {
 		edges[i] = graph.Edge{U: i, V: i + 1}
@@ -66,38 +81,49 @@ func TestShortReadDoesNotPoisonIndexCache(t *testing.T) {
 
 	// Cut at the line boundary after granularity+3 edges, so the capped pass
 	// spans at least one full index stride (it has offsets it would love to
-	// publish) and ends looking exactly like a complete file.
+	// keep) and ends looking exactly like a complete file.
 	cut := fileIndexGranularity + 3
 	var limit int64
 	for _, e := range edges[:cut] {
 		limit += int64(len(fmt.Sprintf("%d %d\n", e.U, e.V)))
 	}
 
-	short := OpenFileWith(path, cappedOpener(limit))
-	n, err := CountEdges(short)
+	// The first handle is capped; handles opened after Close are healthy.
+	opens := 0
+	healing := func(path string) (io.ReadSeekCloser, error) {
+		opens++
+		if opens == 1 {
+			return cappedOpener(limit)(path)
+		}
+		return os.Open(path)
+	}
+	fs := OpenFileWith(path, healing)
+	n, err := CountEdges(fs)
 	if err == nil {
 		t.Fatalf("capped pass returned no error (%d edges)", n)
 	}
 	if !IsTransient(err) || !errors.Is(err, ErrTruncated) {
 		t.Fatalf("capped pass error = %v, want transient ErrTruncated", err)
 	}
-	if _, ok := short.RangeStream(0, 0); ok {
+	if _, ok := fs.RangeStream(0, 0); ok {
 		t.Fatal("capped stream kept range access from an incomplete pass")
 	}
-	if err := short.Close(); err != nil {
+	if m, known := fs.Len(); known {
+		t.Fatalf("capped stream recorded m = %d from an incomplete pass", m)
+	}
+	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// A fresh open of the (healthy) file must not find a cached index…
-	second := OpenFile(path)
-	if _, ok := second.RangeStream(0, 0); ok {
-		t.Fatal("incomplete pass published an index under the file's cache key")
-	}
-	// …and a clean pass over it sees every edge.
-	if n, err := CountEdges(second); err != nil || n != len(edges) {
+	// The healed pass over the same stream sees every edge…
+	if n, err := CountEdges(fs); err != nil || n != len(edges) {
 		t.Fatalf("clean pass after capped pass: %d, %v (want %d, nil)", n, err, len(edges))
 	}
-	sub, ok := second.RangeStream(cut-2, cut+2)
+	if m, known := fs.Len(); !known || m != len(edges) {
+		t.Fatalf("Len after clean pass = %d, %v; want %d, true", m, known, len(edges))
+	}
+	// …and its index serves ranges across the old cut exactly.
+	sub, ok := fs.RangeStream(cut-2, cut+2)
 	if !ok {
 		t.Fatal("range access unavailable after a clean pass")
 	}
@@ -105,12 +131,8 @@ func TestShortReadDoesNotPoisonIndexCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, e := range got {
-		if want := edges[cut-2+i]; e != want {
-			t.Fatalf("range edge %d = %v, want %v", i, e, want)
-		}
-	}
-	if err := second.Close(); err != nil {
+	sameEdges(t, got, edges[cut-2:cut+2], "range across the old cut")
+	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -54,6 +54,14 @@ func faultTestFiles(t *testing.T, edges []Edge) map[string]string {
 	return paths
 }
 
+// setDecodeCacheBudget sets the process-wide decoded-block cache budget and
+// restores the default when the test ends.
+func setDecodeCacheBudget(t *testing.T, bytes int64) {
+	t.Helper()
+	stream.SetDecodeCacheBudget(bytes)
+	t.Cleanup(func() { stream.SetDecodeCacheBudget(stream.DefaultDecodeCacheBytes) })
+}
+
 // TestFaultScheduleDoesNotChangeResult is the PR's acceptance property: a
 // seed-keyed schedule of transient faults (mid-read EIO, failing Resets),
 // healed by bounded retry, yields a Result with exactly the same Estimate,
@@ -71,26 +79,27 @@ func TestFaultScheduleDoesNotChangeResult(t *testing.T) {
 		Kinds: []faultio.Kind{faultio.KindEIO, faultio.KindFailReset}}
 
 	type runner func(opts Options) (Result, error)
-	fileRunner := func(path string, cache bool) runner {
+	fileRunner := func(path string, budget int64) runner {
 		return func(opts Options) (Result, error) {
-			opts.DecodeCache = cache
+			setDecodeCacheBudget(t, budget)
 			return EstimateFile(path, opts)
 		}
 	}
-	// The v2-family backends run twice: plain and with the decoded-block
-	// cache, whose insert-after-verified-decode invariant means a fault mid
-	// block never leaves a partial decode visible — so the faulted cached run
-	// must match its clean run exactly, like every other configuration.
+	// The v2-family backends run twice: with the decoded-block cache at its
+	// default budget, whose insert-after-verified-decode invariant means a
+	// fault mid block never leaves a partial decode visible — so the faulted
+	// cached run must match its clean run exactly, like every other
+	// configuration — and with the cache disabled (budget 0).
 	sources := []struct {
 		name string
 		run  runner
 	}{
 		{"memory", func(opts Options) (Result, error) { return Estimate(edges, opts) }},
-		{"text", fileRunner(paths["text"], false)},
-		{"bex2", fileRunner(paths["bex2"], false)},
-		{"bexd", fileRunner(paths["bexd"], false)},
-		{"bex2/cache", fileRunner(paths["bex2"], true)},
-		{"bexd/cache", fileRunner(paths["bexd"], true)},
+		{"text", fileRunner(paths["text"], stream.DefaultDecodeCacheBytes)},
+		{"bex2", fileRunner(paths["bex2"], stream.DefaultDecodeCacheBytes)},
+		{"bexd", fileRunner(paths["bexd"], stream.DefaultDecodeCacheBytes)},
+		{"bex2/nocache", fileRunner(paths["bex2"], 0)},
+		{"bexd/nocache", fileRunner(paths["bexd"], 0)},
 	}
 
 	totalRetries := 0
@@ -244,7 +253,8 @@ func TestCancellationWithDecodeCache(t *testing.T) {
 	if _, err := stream.WriteBex2File(path, stream.FromEdges(raw), 64); err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Epsilon: 0.3, Seed: 5, Workers: 1, DecodeCache: true}
+	setDecodeCacheBudget(t, stream.DefaultDecodeCacheBytes)
+	opts := Options{Epsilon: 0.3, Seed: 5, Workers: 1}
 
 	clean, err := EstimateFile(path, opts)
 	if err != nil {
@@ -320,9 +330,9 @@ func TestChaosSmoke(t *testing.T) {
 		for name, path := range paths {
 			plan := faultio.Plan{Seed: seed, Every: 3, MaxFaults: 4, Stall: 100 * time.Microsecond,
 				Kinds: []faultio.Kind{faultio.KindEIO, faultio.KindFailReset, faultio.KindStall}}
-			// DecodeCache is on for the whole chaos sweep: formats without a
-			// block decoder ignore it, the v2 family runs it under fire.
-			opts := Options{Epsilon: 0.4, Seed: seed, Workers: 4, DecodeCache: true}
+			// The decoded-block cache is on (default budget) for the whole
+			// chaos sweep: the v2 family runs it under fire.
+			opts := Options{Epsilon: 0.4, Seed: seed, Workers: 4}
 			opts.WrapStream = func(s stream.Stream) stream.Stream { return faultio.New(s, plan) }
 			res, err := EstimateFileTrialsCtx(context.Background(), path, opts, 3)
 			if err != nil {

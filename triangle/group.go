@@ -26,11 +26,6 @@ type GroupOptions struct {
 	// negative = disabled). Scans are shared, so the policy is group-wide;
 	// per-request Options.RetryAttempts is ignored.
 	RetryAttempts int
-	// DecodeCache serves repeat block reads of .bex v2 files from the
-	// process-wide decoded-block cache; see Options.DecodeCache. A group is
-	// the cache's best customer: every request riding its shared scans
-	// re-reads the same blocks.
-	DecodeCache bool
 }
 
 // GroupKappa is the shared degeneracy resolution of a ScanGroup: the
@@ -94,7 +89,7 @@ func OpenScanGroup(ctx context.Context, path string, gopts GroupOptions) (*ScanG
 		ctx = context.Background()
 	}
 	retry := retryPolicy(Options{RetryAttempts: gopts.RetryAttempts})
-	fs, err := stream.OpenAutoOpts(path, stream.OpenOptions{DecodeCache: gopts.DecodeCache})
+	fs, err := stream.OpenAuto(path)
 	if err != nil {
 		return nil, err
 	}

@@ -75,13 +75,6 @@ type Options struct {
 	// run is bit-identical to an undisturbed one — Result.Retries reports
 	// only the extra I/O spent.
 	RetryAttempts int
-	// DecodeCache serves repeat block reads of .bex v2 inputs from the
-	// process-wide decoded-block cache (stream.SetDecodeCacheBudget sets
-	// the budget), so the 2nd..Nth pass of the multi-pass algorithm skips
-	// decode entirely. Purely a performance preference: estimates are
-	// bit-identical with the cache on or off, at any worker count. Formats
-	// without block decode (text) ignore it.
-	DecodeCache bool
 	// WrapStream, when non-nil, wraps every stream the estimator opens before
 	// any pass runs over it. This is a development hook — it exists for fault
 	// injection (internal/faultio, the hidden trianglecount -inject flag) and
@@ -286,6 +279,14 @@ func EstimateCtx(ctx context.Context, edges []Edge, opts Options) (Result, error
 // contain duplicates and who want simple-graph semantics should deduplicate
 // first (cmd/graphgen -convert does); Estimate canonicalizes its in-memory
 // input and is the reference for the deduplicated answer.
+//
+// A .bex v2 or .bexd input is read through the process-wide decoded-block
+// cache, so the 2nd..Nth pass of the multi-pass algorithm skips decode. Its
+// memory is bounded by the cache budget — 64 MiB by default
+// (stream.DefaultDecodeCacheBytes), set with stream.SetDecodeCacheBudget,
+// 0 disables it — and is not charged to Result.SpaceWords. An input whose
+// decoded size (16 bytes per edge) exceeds the budget bypasses the cache.
+// Estimates are bit-identical at any budget.
 func EstimateFile(path string, opts Options) (Result, error) {
 	return EstimateFileCtx(context.Background(), path, opts)
 }
@@ -293,7 +294,7 @@ func EstimateFile(path string, opts Options) (Result, error) {
 // EstimateFileCtx is EstimateFile honoring a context; see EstimateCtx for
 // the cancellation, degradation, and retry semantics.
 func EstimateFileCtx(ctx context.Context, path string, opts Options) (Result, error) {
-	fs, err := stream.OpenAutoOpts(path, stream.OpenOptions{DecodeCache: opts.DecodeCache})
+	fs, err := stream.OpenAuto(path)
 	if err != nil {
 		return Result{}, err
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"degentri/internal/graph"
 	"degentri/internal/stream"
 )
 
@@ -252,5 +253,48 @@ func TestFileAPIErrors(t *testing.T) {
 	if _, err := EstimateFile(v1, Options{}); !errors.Is(err, stream.ErrCorruptHeader) ||
 		want == nil || err.Error() != want.Error() || !strings.Contains(err.Error(), "v1") {
 		t.Errorf("v1 file: EstimateFile error %v, want the OpenAuto diagnosis %v", err, want)
+	}
+}
+
+// TestEstimateFileDecodeCache pins the facade's cache policy: a default
+// EstimateFile over a .bex v2 file decodes each block once (one miss per
+// block), serves every later scan from the decoded-block cache, and matches
+// a run with the cache disabled (budget 0) bit for bit.
+func TestEstimateFileDecodeCache(t *testing.T) {
+	edges := ClusteredPreferentialAttachment(800, 4, 0.5, 3)
+	raw := make([]graph.Edge, len(edges))
+	for i, e := range edges {
+		raw[i] = graph.Edge{U: e.U, V: e.V}
+	}
+	const blockEdges = 64
+	path := filepath.Join(t.TempDir(), "g.bex")
+	if _, err := stream.WriteBex2File(path, stream.FromEdges(raw), blockEdges); err != nil {
+		t.Fatal(err)
+	}
+	blocks := int64((len(raw) + blockEdges - 1) / blockEdges)
+	opts := Options{Epsilon: 0.3, Seed: 5, Workers: 1}
+
+	setDecodeCacheBudget(t, stream.DefaultDecodeCacheBytes)
+	before := stream.ReadDecodeCacheStats()
+	cached, err := EstimateFile(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := stream.ReadDecodeCacheStats()
+	if misses := after.Misses - before.Misses; misses != blocks {
+		t.Errorf("misses = %d, want one per block (%d)", misses, blocks)
+	}
+	if hits, want := after.Hits-before.Hits, int64(cached.Scans-1)*blocks; hits != want {
+		t.Errorf("hits = %d, want every block of the %d later scans (%d)", hits, cached.Scans-1, want)
+	}
+
+	setDecodeCacheBudget(t, 0)
+	plain, err := EstimateFile(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached.Estimate != plain.Estimate || cached.Passes != plain.Passes ||
+		cached.Scans != plain.Scans || cached.SpaceWords != plain.SpaceWords {
+		t.Fatalf("cached run %+v differs from budget-0 run %+v", cached, plain)
 	}
 }
