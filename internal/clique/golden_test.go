@@ -2,11 +2,13 @@ package clique
 
 // Determinism goldens for the k-clique estimator, mirroring the core
 // estimator's golden suite: for a fixed workload, stream order, and seed, the
-// full Result is pinned to exact values. The values were captured before the
-// pass plumbing moved to the shared internal/passes framework, so this test
-// doubles as the refactor-equivalence pin: every Result must be bit-identical
-// to the pre-framework code at every worker count (1/2/4/8) and over every
-// stream backend (in-memory, text file, binary .bex).
+// full Result is pinned to exact values. The values were first captured
+// before the pass plumbing moved to the shared internal/passes framework, so
+// this test doubled as the refactor-equivalence pin. They were re-pinned when
+// short neighbor banks (sampling.ResK) began deferring their draws to the
+// shard merge — same sampling law (TestResKMergeLaw), different realized
+// draws. Every Result must be bit-identical at every worker count (1/2/4/8)
+// and over every stream backend (in-memory, text file, binary .bex).
 
 import (
 	"os"
@@ -44,11 +46,11 @@ func cliqueGoldenGraphs() map[string]*graph.Graph {
 }
 
 var cliqueGoldens = []cliqueGolden{
-	{"apollonian-1500", 4, 3, 1500, 1, 11, 2077.3068397446955, 4503, 217, 374, 61, 6258},
-	{"apollonian-1500", 4, 3, 1500, 42, 11, 1325.6592904964784, 4503, 217, 477, 51, 7923},
-	{"complete-40", 4, 39, 91390, 7, 13, 90309.375, 780, 104, 104, 95, 2033},
-	{"holmekim-4000-k6", 4, 6, 2449, 1, 14, 3222.8068608767812, 23979, 2820, 5521, 35, 99066},
-	{"complete-25", 5, 24, 53130, 9, 15, 50540.544000000002, 300, 300, 625, 457, 9047},
+	{"apollonian-1500", 4, 3, 1500, 1, 11, 999.60629882451531, 4503, 217, 374, 44, 6240},
+	{"apollonian-1500", 4, 3, 1500, 42, 11, 1029.3354490913835, 4503, 217, 477, 41, 7941},
+	{"complete-40", 4, 39, 91390, 7, 13, 90309.375, 780, 104, 104, 95, 2036},
+	{"holmekim-4000-k6", 4, 6, 2449, 1, 14, 2827.3965204261999, 23979, 2820, 5521, 44, 98778},
+	{"complete-25", 5, 24, 53130, 9, 15, 54964.224000000002, 300, 300, 625, 497, 9050},
 }
 
 func (gc cliqueGolden) config() Config {

@@ -2,7 +2,7 @@ package core_test
 
 // Refactor-equivalence pins for the shared pass framework (internal/passes):
 // the golden cases of golden_test.go — whose expected values predate the
-// framework — must hold bit for bit at every worker count (1/2/4/8) and over
+// framework, apart from the re-pins noted there — must hold bit for bit at every worker count (1/2/4/8) and over
 // every stream backend (in-memory, text file, block-indexed .bex v2,
 // sharded .bexd). Combined with the clique golden suite this is the
 // guarantee that moving the pass plumbing into internal/passes changed no

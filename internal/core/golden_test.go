@@ -13,6 +13,11 @@ package core_test
 // neighbor reservoirs; see the merge-uniformity tests in internal/sampling),
 // but the realized draws — and with them these goldens — differ from the
 // PR 1 values. The break is deliberate and recorded in CHANGES.md.
+//
+// The two RuleLowestCount pref-attach-k4 rows were re-pinned once more when
+// short neighbor banks (sampling.ResK) began deferring their draws to the
+// shard merge: same sampling law (TestResKMergeLaw), different realized
+// draws. Every other row was unaffected.
 
 import (
 	"testing"
@@ -58,8 +63,8 @@ var goldenCases = []goldenCase{
 	{"wheel", core.RuleNone, 42, 915.52083333333337, 55, 55, 0, 1293, 4},
 	{"wheel", core.RuleLowestDegree, 1, 549.3125, 51, 11, 34, 1388, 4},
 	{"wheel", core.RuleLowestDegree, 42, 898.875, 55, 18, 42, 1461, 4},
-	{"pref-attach-k4", core.RuleLowestCount, 1, 2601.5319053493326, 51, 18, 45, 15762, 6},
-	{"pref-attach-k4", core.RuleLowestCount, 42, 2899.1917150795653, 51, 20, 47, 16080, 6},
+	{"pref-attach-k4", core.RuleLowestCount, 1, 2601.5319053493326, 51, 18, 45, 15786, 6},
+	{"pref-attach-k4", core.RuleLowestCount, 42, 1739.5150290477393, 51, 12, 47, 16088, 6},
 	{"pref-attach-k4", core.RuleNone, 1, 2457.0023550521473, 51, 51, 0, 2926, 4},
 	{"pref-attach-k4", core.RuleNone, 42, 2464.3129578176308, 51, 51, 0, 2644, 4},
 	{"pref-attach-k4", core.RuleLowestDegree, 1, 1589.8250532690365, 51, 11, 45, 3106, 4},

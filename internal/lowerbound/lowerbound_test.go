@@ -151,7 +151,14 @@ func TestInstanceStreams(t *testing.T) {
 	}
 }
 
+// TestDetectTrianglesSeparatesInstances checks the reduction's separation as
+// a rate over fixed seeds rather than at one seed: detection is a
+// constant-probability event, so a single seed can miss the threshold by a
+// hair after any change to the realized randomness. The NO instance (one
+// shared index, p²q triangles) must be detected on at least 80% of the
+// seeds, and the YES instance (disjoint, triangle-free) must never be.
 func TestDetectTrianglesSeparatesInstances(t *testing.T) {
+	const seeds = 41
 	p, q := 6, 4
 	yesD, _ := NewDisjointness(20, 8, false, 2)
 	noD, _ := NewDisjointness(20, 8, true, 3)
@@ -166,25 +173,31 @@ func TestDetectTrianglesSeparatesInstances(t *testing.T) {
 
 	cfg := core.DefaultConfig(0.3, 2*p, int64(p*p*q))
 	cfg.CR, cfg.CL, cfg.CS = 16, 16, 4
-	cfg.Seed = 11
-
-	noRes, err := DetectTriangles(no, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
+	detected := 0
+	for seed := uint64(0); seed < seeds; seed++ {
+		cfg.Seed = seed
+		noRes, err := DetectTriangles(no, cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if noRes.Detected {
+			detected++
+		}
+		if noRes.CommunicationBits <= 0 {
+			t.Fatal("communication accounting missing")
+		}
+		yesRes, err := DetectTriangles(yes, cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if yesRes.Detected {
+			t.Errorf("seed %d: YES instance falsely detected (estimate %.1f)", seed, yesRes.Estimate)
+		}
 	}
-	if !noRes.Detected {
-		t.Fatalf("NO instance not detected (estimate %.1f, want >= %d)", noRes.Estimate, p*p*q/2)
+	if detected*5 < seeds*4 {
+		t.Errorf("NO instance detected on %d of %d seeds, want at least 80%%", detected, seeds)
 	}
-	yesRes, err := DetectTriangles(yes, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if yesRes.Detected {
-		t.Fatalf("YES instance falsely detected (estimate %.1f)", yesRes.Estimate)
-	}
-	if noRes.CommunicationBits <= 0 {
-		t.Error("communication accounting missing")
-	}
+	t.Logf("NO instance detected on %d of %d seeds", detected, seeds)
 }
 
 func TestSolveDisjointness(t *testing.T) {

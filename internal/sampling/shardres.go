@@ -12,7 +12,7 @@ import "math"
 //     key, so the draws inside a shard are a pure function of the seed and the
 //     shard's data;
 //   - Res1/ResK, skip-ahead reservoirs carrying their own keyed RNG, as the
-//     per-shard accumulators;
+//     per-shard accumulators (a short ResK defers its draws to the merge);
 //   - Res1Merger/ResKMerger, which combine per-shard reservoirs in ascending
 //     shard order with one draw per (sub-reservoir, shard) from a keyed merge
 //     RNG: a reservoir of weight n absorbed into an accumulator of weight N
@@ -130,41 +130,37 @@ func (m *Res1Merger) Has() bool { return m.N > 0 }
 
 // ResK is a bank of k independent size-1 uniform reservoirs over the same
 // sub-stream ("k uniform samples with replacement"), sharing one RNG stream.
-// The next-acceptance indices of the k sub-reservoirs are kept in a binary
-// min-heap, so an offer that accepts nowhere costs one comparison instead of
-// k, and the total work over n offers is O(n + k·log n·log k) rather than
-// O(n·k) — the difference between pass 5 of the estimator scaling with s and
-// not.
 //
-// A bank stays in a compact "constant" representation while it has seen at
-// most one item — just the item, no k-sized fill, no heap, no draws — because
-// in a sharded pass the overwhelmingly common case is a shard that contains
-// exactly one neighbor of a given light endpoint, and paying Θ(k) per such
-// shard would make one worker slower than the unsharded code ever was. The
-// k-sized state materializes on the second offer. The zero value is unusable;
-// call Init first.
+// While the bank has seen at most resKPlainLimit items it draws nothing: it
+// records the items in buf, and each sub-reservoir's sample is left implicit
+// as one independent uniform pick from buf — the same joint law as running
+// Algorithm R per sub-reservoir, but the k picks are drawn once per
+// (bank, shard) instead of k draws per offer. In a sharded pass almost every
+// bank sees only a handful of items of a light endpoint's neighborhood, so
+// the picks are drawn where they are needed: by ResKMerger.Absorb, fused with
+// its merge draws, or when the bank materializes.
+//
+// On its (resKPlainLimit+1)-th offer the bank materializes: it draws the k
+// picks from buf into W and the next-acceptance index of every sub-reservoir
+// into a binary min-heap, so an offer that accepts nowhere costs one
+// comparison instead of k, and the total work over n offers is
+// O(n + k·log n·log k) rather than O(n·k). The k-sized slices are allocated
+// only then, and kept across Init/Drop. The zero value is unusable; call Init
+// first.
 type ResK struct {
-	N     int64
-	first int     // the single seen item while N <= 1
-	W     []int   // W[j]: sample of sub-reservoir j; materialized when N >= 2
-	heap  []int64 // min-heap of next-acceptance indices; built with W
-	sub   []int32 // sub[i]: which sub-reservoir heap[i] belongs to
-	k     int
-	rng   RNG
+	N    int64
+	buf  []int   // the items offered while N <= resKPlainLimit
+	W    []int   // W[j]: sample of sub-reservoir j; materialized when N > resKPlainLimit
+	heap []int64 // min-heap of next-acceptance indices; built with W
+	sub  []int32 // sub[i]: which sub-reservoir heap[i] belongs to
+	k    int
+	rng  RNG
 }
 
-// Init readies the bank for k sub-reservoirs, reusing existing slices when
-// their capacity allows.
+// Init readies the bank for k sub-reservoirs, keeping existing slice
+// capacity.
 func (r *ResK) Init(seed uint64, k int) {
-	if cap(r.W) < k {
-		r.W = make([]int, 0, k)
-		r.heap = make([]int64, 0, k)
-		r.sub = make([]int32, 0, k)
-	}
-	r.W = r.W[:0]
-	r.heap = r.heap[:0]
-	r.sub = r.sub[:0]
-	r.N = 0
+	r.Drop()
 	r.k = k
 	r.rng = RNG{state: seed}
 }
@@ -177,6 +173,7 @@ func (r *ResK) Ready() bool { return r.k != 0 }
 func (r *ResK) Drop() {
 	r.N = 0
 	r.k = 0
+	r.buf = r.buf[:0]
 	r.W = r.W[:0]
 	r.heap = r.heap[:0]
 	r.sub = r.sub[:0]
@@ -185,55 +182,63 @@ func (r *ResK) Drop() {
 // K returns the number of sub-reservoirs.
 func (r *ResK) K() int { return r.k }
 
-// resKPlainLimit is the sub-stream length up to which Offer uses one plain
-// acceptance draw per sub-reservoir (Algorithm R). At small counts the
-// acceptance rate is so high that skip-ahead plus heap maintenance costs more
-// than it saves; past the limit the bank switches to the heap, whose accepts
-// thin out as 1/N. The switch depends only on N, never on worker count.
+// resKPlainLimit is the sub-stream length up to which a bank only buffers its
+// items. Past it the bank materializes its k samples and switches to the
+// skip-ahead heap, whose accepts thin out as 1/N; the buffer bounds the
+// deferred state at resKPlainLimit words. The switch depends only on N, never
+// on worker count.
 const resKPlainLimit = 32
 
 // Offer presents the next item to every sub-reservoir.
 func (r *ResK) Offer(v int) {
 	r.N++
-	if r.N == 1 {
-		r.first = v // accepted everywhere; representation stays constant
+	if r.N <= resKPlainLimit {
+		if r.buf == nil {
+			r.buf = make([]int, 0, resKPlainLimit)
+		}
+		r.buf = append(r.buf, v)
 		return
 	}
-	if len(r.W) == 0 {
-		// Second offer: materialize the bank; every sub-reservoir holds the
-		// first item.
-		r.W = r.W[:r.k]
-		for j := range r.W {
-			r.W[j] = r.first
-		}
-	}
 	if len(r.heap) == 0 {
-		if r.N <= resKPlainLimit {
-			for j := range r.W {
-				if r.rng.Int63n(r.N) == 0 {
-					r.W[j] = v
-				}
-			}
-			return
-		}
-		// The sub-stream turned out long: draw each sub-reservoir's next
-		// acceptance past position N-1, in sub-reservoir order, then heapify
-		// (the heapify consumes no randomness).
-		r.heap = r.heap[:r.k]
-		r.sub = r.sub[:r.k]
-		for j := 0; j < r.k; j++ {
-			r.heap[j] = skipAhead(r.N-1, &r.rng)
-			r.sub[j] = int32(j)
-		}
-		for i := r.k/2 - 1; i >= 0; i-- {
-			r.siftDown(i)
-		}
+		r.materialize()
 	}
 	for r.heap[0] <= r.N {
 		r.W[r.sub[0]] = v
 		r.heap[0] = skipAhead(r.N, &r.rng)
 		r.siftDown(0)
 	}
+}
+
+// materialize turns a full buffer into explicit state: per sub-reservoir, in
+// order, a uniform pick from buf and the next acceptance past position
+// len(buf); then it heapifies (the heapify consumes no randomness).
+func (r *ResK) materialize() {
+	if cap(r.W) < r.k {
+		r.W = make([]int, r.k)
+	}
+	if cap(r.heap) < r.k {
+		r.heap = make([]int64, r.k)
+		r.sub = make([]int32, r.k)
+	}
+	r.W, r.heap, r.sub = r.W[:r.k], r.heap[:r.k], r.sub[:r.k]
+	n := int64(len(r.buf))
+	for j := range r.W {
+		r.W[j] = r.buf[r.rng.Int63n(n)]
+		r.heap[j] = skipAhead(n, &r.rng)
+		r.sub[j] = int32(j)
+	}
+	for i := r.k/2 - 1; i >= 0; i-- {
+		r.siftDown(i)
+	}
+}
+
+// pick draws one uniform item of a buffered bank from rng; a one-item buffer
+// costs no draw.
+func (r *ResK) pick(rng *RNG) int {
+	if len(r.buf) == 1 {
+		return r.buf[0]
+	}
+	return r.buf[rng.Int63n(int64(len(r.buf)))]
 }
 
 // siftDown restores the heap property from position i.
@@ -284,40 +289,47 @@ func (m *ResKMerger) Init(seed uint64, k int) {
 // enumerated by geometric skipping (iid Bernoulli successes are memoryless),
 // so the expected cost is k·r.N/total draws, and absorbing the tail shards of
 // a high-degree endpoint costs almost nothing. An empty bank is a no-op; the
-// first non-empty one is adopted by swapping slices, consuming no randomness.
-// All rules depend only on the data, never on the worker count.
+// first non-empty materialized one is adopted by swapping slices, consuming
+// no randomness.
+//
+// A bank that still buffers its items has its deferred picks drawn here, from
+// the merge RNG, only for the sub-reservoirs that take the shard's sample:
+// adopting it draws one pick per sub-reservoir (none when it holds one item);
+// the plain path's acceptance draw u < r.N is itself a uniform pick, buf[u];
+// the geometric path draws one pick per replaced position. All rules depend
+// only on the data, never on the worker count.
 func (m *ResKMerger) Absorb(r *ResK) {
 	if r.N == 0 {
 		return
 	}
+	buffered := len(r.W) == 0 // the bank's samples are deferred picks from r.buf
 	if m.N == 0 {
 		m.N = r.N
-		if len(r.W) == 0 {
-			for j := range m.W {
-				m.W[j] = r.first
-			}
+		if !buffered {
+			m.W, r.W = r.W, m.W[:0]
 			return
 		}
-		m.W, r.W = r.W, m.W[:0]
+		for j := range m.W {
+			m.W[j] = r.pick(&m.rng)
+		}
 		return
 	}
 	m.N += r.N
 	p := float64(r.N) / float64(m.N) // < 1: the accumulator was non-empty
-	constant := len(r.W) == 0        // bank still in its one-item representation
-	pick := func(j int) int {
-		if constant {
-			return r.first
-		}
-		return r.W[j]
-	}
 	// Geometric skipping only pays off when replacements are sparse (its
 	// draw costs two logarithms); for high p or small banks a plain draw per
 	// sub-reservoir is cheaper. Both branches depend only on (k, p), never
 	// on worker count, so determinism is preserved.
 	if p > 0.25 || len(m.W) < 16 {
 		for j := range m.W {
-			if m.rng.Int63n(m.N) < r.N {
-				m.W[j] = pick(j)
+			u := m.rng.Int63n(m.N)
+			if u >= r.N {
+				continue
+			}
+			if buffered {
+				m.W[j] = r.buf[u] // u is uniform on [0, r.N) here
+			} else {
+				m.W[j] = r.W[j]
 			}
 		}
 		return
@@ -328,7 +340,11 @@ func (m *ResKMerger) Absorb(r *ResK) {
 		if j >= len(m.W) {
 			return
 		}
-		m.W[j] = pick(j)
+		if buffered {
+			m.W[j] = r.pick(&m.rng)
+		} else {
+			m.W[j] = r.W[j]
+		}
 	}
 }
 
